@@ -396,10 +396,10 @@ def run_scaling() -> dict:
 
 
 def run_stats() -> None:
-    """Pipeline audit: run the flagship via the Dataset streaming
-    executor (dispatch='dataset') and print ``ds.stats()`` so stage
+    """Pipeline audit: run the flagship through the Dataset streaming
+    executor (``extract_pipeline``) and print ``ds.stats()`` so stage
     wall-times, block sizes and executor overheads are inspectable —
-    the measure-don't-guess loop behind the actor_pool default."""
+    the measure-don't-guess loop behind ``run_sharded``'s actor pool."""
     import ray
 
     ray.init(

@@ -1388,11 +1388,10 @@ def q_events_interval_join(sf_dir: str):
     (user_id % 50 == 0), count ALL events inside the 2-hour window
     starting at the purchase. No equality key exists; the operator
     auto-selects broadcast-searchsorted (small window side, zero
-    shuffle — what this cohort triggers) vs the bin-overlap equi-join
-    (corpus-sized window side: 4-hour bins tag both sides, ONE hash
-    join on the bin id, exact range predicate as residual filter),
-    both ending in a sort+run-scan count with union-of-zeros
-    zero-fill. The oracle is a plain range-predicate LEFT JOIN
+    shuffle — what this cohort triggers) vs bin-overlap sorted runs
+    (corpus-sized window side: 4-hour bins tag both sides, ONE sort by
+    bin, per-bin searchsorted counts), both ending in a sort+run-scan
+    sum that also zero-fills. The oracle is a plain range-predicate LEFT JOIN
     (DuckDB's IEJoin); the paths are equality-tested against each
     other and brute force in tests/test_interval.py."""
     from .stages.interval import interval_join_count

@@ -141,8 +141,7 @@ def q_graph_components(sf_dir: str):
     driver). The part co-occurrence giant component is sparse and
     HIGH-DIAMETER (~50 at sf0.01), where min-label propagation pays
     rounds ∝ diameter — measured 11 min vs tens of seconds for this
-    form (equality-pinned against cc_min_label_propagation AND driver
-    union-find in pytest). Output: one row per component (label = min
+    form (pinned against brute-force union-find in pytest). Output: one row per component (label = min
     part id), size DESC. The DuckDB oracle runs min-label propagation
     as a pruned recursive CTE (labels travel only while smaller than
     the receiving node — node×labels-bounded, never full reach)."""
@@ -212,9 +211,9 @@ def q_graph_bfs_layers(sf_dir: str):
     driver); the iteration auto-switches at ``BROADCAST_NODES_MAX``
     exactly like pagerank: node-bounded catalogs ride the object store
     as sorted frontier arrays (one streaming edge pass per round),
-    corpus-scaled node spaces run hop-propagation on the
-    cc_min_label_propagation machinery (state and messages as datasets,
-    one co-locating sort + run-scan per round; equality-pinned against
+    corpus-scaled node spaces run hop-propagation on the engine's
+    sorted-run primitive (state and messages as datasets, one
+    co-locating sort + run-scan per round; equality-pinned against
     the broadcast path in pytest). Rounds are fixed (3), not
     data-driven. The DuckDB oracle walks the same graph with a
     recursive CTE (dedup-union keeps it node×hop bounded)."""

@@ -13,7 +13,7 @@ Scale notes (each query documents its shuffle strategy):
   build side carries distinct keys only;
 - small dimensions broadcast via ``ray.put`` (never shuffled);
 - window functions (rank-per-key, rolling aggregates, session windows,
-  as-of matches) run on ``query_utils._window_by_key``: ONE global
+  as-of matches) run on ``query_utils._window_by_key_arrow``: ONE global
   sort by (key, order cols) + vectorized run-boundary kernels per
   block, boundary-straddling key groups via a small side-channel —
   no per-group Python dispatch at any key cardinality. The remaining
@@ -337,7 +337,7 @@ def q_events_user_rolling_1h(sf_dir: str):
     """Rolling window aggregate: per user, events and value-sum in the
     trailing 1-hour window [ts−1h, ts] (RANGE semantics incl. ts
     peers). One sort by (user_id, ts, event_id), then per-user-run
-    prefix sums + searchsorted inside each block (``_window_by_key``
+    prefix sums + searchsorted inside each block (``_window_by_key_arrow``
     — no Ray per-group dispatch; the inner loop is over user RUNS
     with vectorized ops, ~µs each)."""
     from .query_utils import _window_by_key_arrow
@@ -391,7 +391,7 @@ def q_events_asof_purchase(sf_dir: str):
     purchase at-or-before it. Composition per SURVEY §custom-operators:
     ONE sort co-partitioning both sides by (user_id, ts, event_id),
     then per-user-run searchsorted inside each block
-    (``_window_by_key`` — both sides ride the same sorted stream, so
+    (``_window_by_key_arrow`` — both sides ride the same sorted stream, so
     co-partitioning is by construction, with no per-user dispatch).
     Purchases are pre-deduped to one row per (user, ts) (max event_id,
     i.e. the last row of each ts run) so tie-handling is
@@ -572,7 +572,7 @@ def q_lineitem_rank_in_order(sf_dir: str):
     l_linenumber), keeping the top 2 per order. Executed as ONE sort
     by (l_orderkey, l_extendedprice DESC, l_linenumber) + run-boundary
     arange — rank-per-group over millions of orders with no per-group
-    dispatch (``_window_by_key`` descending support)."""
+    dispatch (``_window_by_key_arrow`` descending support)."""
     from .query_utils import _window_by_key_arrow
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_extendedprice"])

@@ -139,9 +139,9 @@ def _preagg_native(ds, keys: list[str], partial, aggs, finalize,
       per-term, per-content-hash keys) pass ``input_rows`` (free from
       parquet footer metadata via :func:`_meta_rows`); above
       ``windowed_threshold`` the merge instead runs as sort-by-key +
-      vectorized per-block groupby over complete key groups
-      (``_window_by_key``) — no single task ever holds the full key
-      space, and no per-key machinery (Ray 2.49's native
+      per-block pandas groupby over complete key groups
+      (:func:`_window_by_key_arrow`) — no single task ever holds the
+      full key space, and no per-key machinery (Ray 2.49's native
       ``groupby().aggregate`` measures ~1-2 ms PER KEY).
 
     ``aggs`` are ``ray.data.aggregate`` objects (Sum/Min/Max); Ray's
@@ -165,7 +165,9 @@ def _preagg_native(ds, keys: list[str], partial, aggs, finalize,
 
     part = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
     if input_rows is not None and input_rows > windowed_threshold:
-        return _window_by_key(part, keys, keys, merge)
+        return _window_by_key_arrow(
+            part, keys, keys, lambda t: merge(t.to_pandas())
+        )
     part = part.map_batches(combine, batch_format="pandas", batch_size=65536)
     # Final merge runs IN-PROCESS on the cascade output. The rows pulled
     # are provably ≤ ceil(partial_blocks/65536) × num_groups — exactly
@@ -176,73 +178,6 @@ def _preagg_native(ds, keys: list[str], partial, aggs, finalize,
     # it takes the windowed sort + run-scan path above.
     merged = merge(part.to_pandas())
     return ray.data.from_pandas(merged)
-
-
-def _edge_key_mask(df: pd.DataFrame, keys: list[str]) -> np.ndarray:
-    """True for rows whose key tuple equals the block's first or last
-    key tuple — the rows a key group straddling a block boundary can
-    live in (blocks come from a global sort by the keys)."""
-    first = df.iloc[0][keys].to_numpy()
-    last = df.iloc[-1][keys].to_numpy()
-    vals = df[keys].to_numpy()
-    return (vals == first).all(axis=1) | (vals == last).all(axis=1)
-
-
-def _window_by_key(ds, keys: list[str], sort_cols: list[str], fn,
-                   descending: "list[bool] | None" = None):
-    """Key-partitioned window execution with NO per-group dispatch:
-    ONE global sort by ``sort_cols`` (must start with ``keys``), then
-    ``fn`` runs vectorized over each block's COMPLETE key groups;
-    rows carrying a block's first/last key tuple (the only groups that
-    can straddle block boundaries) are routed down a small boundary
-    side-channel, merged, re-sorted and processed in one extra task.
-
-    ``fn(df)`` receives rows sorted by ``sort_cols`` containing only
-    complete key groups (possibly zero) and must be vectorized across
-    groups (run-boundary numpy ops, not ``groupby.apply``). This is
-    the engine's replacement for ``groupby(key).map_groups`` when
-    group count scales with the corpus — Ray's per-group dispatch
-    costs ~0.1-2 ms/group, which at millions of users is the job.
-
-    Skew note: the boundary task holds at most 2 key groups per block,
-    so its size is bounded by the LARGEST single key group (same
-    assumption every per-key window makes); a pathological super-key
-    should be salted into sub-windows first (stages/skew.py pattern)."""
-    desc = descending or [False] * len(sort_cols)
-    # pre-sort arrow-convert + metadata strip: a pandas-format upstream
-    # stage would otherwise convert at the SORT boundary via
-    # pa.Table.from_pandas, which re-attaches the b'pandas' schema blob
-    # and makes every reduce-side schema unify log "Failed to hash the
-    # schemas". The conversion happens here instead (fused, zero extra
-    # pass) and the strip is zero-copy.
-    s = ds.map_batches(
-        _strip_schema_meta, batch_format="pyarrow", batch_size=None
-    ).sort(sort_cols, descending=desc).materialize()
-    asc = [not d for d in desc]
-
-    def interior(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return fn(df)
-        return fn(df.loc[~_edge_key_mask(df, keys)].reset_index(drop=True))
-
-    def boundary(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return df
-        return df.loc[_edge_key_mask(df, keys)]
-
-    def boundary_apply(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(
-            df.sort_values(sort_cols, ascending=asc, kind="stable").reset_index(
-                drop=True
-            )
-        )
-
-    b = (
-        s.map_batches(boundary, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(boundary_apply, batch_format="pandas", batch_size=None)
-    )
-    return s.map_batches(interior, batch_format="pandas", batch_size=None).union(b)
 
 
 def _run_starts_mask_arrow(t, keys: list[str]) -> np.ndarray:
@@ -268,19 +203,36 @@ def _run_starts_mask_arrow(t, keys: list[str]) -> np.ndarray:
 
 
 def _window_by_key_arrow(ds, keys: list[str], sort_cols: list[str], fn,
-                         descending: "list[bool] | None" = None):
-    """Arrow-native twin of :func:`_window_by_key` (VERDICT r2 #4: the
-    pandas container was the only non-Arrow hop left in these kernels):
-    ``fn(t: pyarrow.Table) -> pyarrow.Table`` runs over each block's
-    COMPLETE key groups, zero-copy from the object store; boundary key
-    groups ride the same small side-channel. ``fn`` must handle
-    ``t.num_rows == 0`` by returning an empty table with the output
-    schema. When duplicate sort keys are possible, ``sort_cols`` should
-    form a total order per key group (or ``fn`` must be row-order
-    insensitive within ties): the boundary re-sort uses Arrow
-    ``sort_by``, which is not guaranteed stable."""
-    import pyarrow as pa
+                         descending: "list[bool] | None" = None,
+                         precombine=None):
+    """The engine's one sorted-run primitive: key-partitioned window
+    execution with NO per-group dispatch. ONE global sort by
+    ``sort_cols`` (must start with ``keys``), then
+    ``fn(t: pyarrow.Table) -> pyarrow.Table`` runs vectorized over each
+    block's COMPLETE key groups (run-boundary numpy ops, not
+    ``groupby.apply``), zero-copy from the object store. Rows carrying
+    a block's first/last key tuple — the only groups that can straddle
+    a block boundary — are routed down a small boundary side-channel
+    (``repartition(1)``), re-sorted and processed in one extra task.
+    This replaces ``groupby(key).map_groups`` when group count scales
+    with the corpus: Ray's per-group dispatch costs ~0.1-2 ms/group,
+    which at millions of users is the job.
 
+    ``fn`` must handle ``t.num_rows == 0`` by returning an empty table
+    with the output schema. When duplicate sort keys are possible,
+    ``sort_cols`` should form a total order per key group (or ``fn``
+    must be row-order insensitive within ties): the boundary re-sort
+    uses Arrow ``sort_by``, which is not guaranteed stable.
+
+    ``precombine(t) -> pyarrow.Table``, when set, runs on each block's
+    edge rows (sorted, non-empty) before they enter the side-channel,
+    and must return rows with the SAME schema that ``fn`` accepts. For
+    an associative per-key reducer (min, sum, distinct) it folds each
+    edge run to one row, so the side-channel carries O(#blocks) rows
+    instead of a hot key's whole run. Without it the boundary task
+    holds at most 2 key groups per block, bounded by the LARGEST single
+    key group; a pathological super-key under a non-associative ``fn``
+    should be salted into sub-windows first (stages/skew.py pattern)."""
     desc = descending or [False] * len(sort_cols)
     # pre-sort arrow-convert + metadata strip: a pandas-format upstream
     # stage would otherwise convert at the SORT boundary via
@@ -296,14 +248,15 @@ def _window_by_key_arrow(ds, keys: list[str], sort_cols: list[str], fn,
     ]
 
     def interior(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return fn(t)
-        return fn(t.filter(pa.array(~_edge_key_mask_arrow(t, keys))))
+        lo, hi = _interior_bounds(t, keys)
+        return fn(t.slice(lo, hi - lo))
 
     def boundary(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return t
-        return t.filter(pa.array(_edge_key_mask_arrow(t, keys)))
+        lo, hi = _interior_bounds(t, keys)
+        edge = pa.concat_tables([t.slice(0, lo), t.slice(hi)])
+        return edge if precombine is None else precombine(edge)
 
     def boundary_apply(t: pa.Table) -> pa.Table:
         return fn(t.sort_by(order))
@@ -318,28 +271,33 @@ def _window_by_key_arrow(ds, keys: list[str], sort_cols: list[str], fn,
     ).union(b)
 
 
-def _edge_key_mask_arrow(t, keys: list[str]):
-    """Arrow twin of :func:`_edge_key_mask`: boolean numpy mask of rows
-    whose key tuple equals the block's first or last key tuple. All
-    comparisons are pyarrow.compute scalar-equality kernels — no
-    per-row Python objects even for string keys."""
-    import numpy as np
+def _interior_bounds(t, keys: list[str]) -> "tuple[int, int]":
+    """``[lo, hi)`` of a sorted block's rows that carry neither its
+    first nor its last key tuple. Equal key tuples are contiguous in a
+    sorted block, so the edge rows are exactly ``[0, lo)`` and
+    ``[hi, n)`` and both halves are zero-copy slices. The comparisons
+    are pyarrow.compute scalar-equality kernels — no per-row Python
+    objects even for string keys; a null key never matches an edge
+    tuple (null keys are not supported as group keys)."""
     import pyarrow.compute as pc
 
     n = t.num_rows
+    if n == 0:
+        return 0, 0
     first = np.ones(n, dtype=bool)
     last = np.ones(n, dtype=bool)
     for k in keys:
         col = t.column(k)
-        # fill_null(False): a null key never matches an edge tuple (and
-        # a null bool would decay the mask to object dtype).
         first &= pc.fill_null(pc.equal(col, col[0]), False).to_numpy(
             zero_copy_only=False
         ).astype(bool)
         last &= pc.fill_null(pc.equal(col, col[n - 1]), False).to_numpy(
             zero_copy_only=False
         ).astype(bool)
-    return first | last
+    edge = first | last
+    if edge.all():
+        return n, n
+    return int(np.argmin(edge)), n - int(np.argmin(edge[::-1]))
 
 
 def _distinct_table(t, keys: list[str]):
@@ -351,44 +309,18 @@ def _distinct_table(t, keys: list[str]):
 def _distinct_native(ds, keys: list[str]):
     """Global exact DISTINCT over ``keys`` with NO per-group Python and
     NO per-key aggregate machinery: per-batch Arrow hash-dedup (the
-    combiner — only batch-distinct rows reach the exchange) → ONE sort
-    by the keys → per-block dedup, with rows carrying each block's
-    first/last key tuple routed down a small boundary side-channel (a
-    key group can straddle a block boundary) that is deduped in one
-    extra task. Scales to unbounded key cardinality — no single task
+    combiner — only batch-distinct rows reach the exchange) → the
+    sorted-run primitive with the same dedup as ``fn`` and as its
+    ``precombine`` (each edge key tuple reaches the side-channel once
+    per block). Scales to unbounded key cardinality — no single task
     ever holds the full distinct set — and avoids Ray's per-key
     aggregate cost (measured ~1-2 ms/key for groupby().count() in
-    2.49, i.e. 15 s for 7.5k keys). Arrow end to end (VERDICT r2 #4):
-    dedup is pyarrow group_by (C++ hash over the raw string buffers),
-    never a pandas object-array round trip."""
-    import pyarrow as pa
+    2.49, i.e. 15 s for 7.5k keys). Dedup is pyarrow group_by (C++
+    hash over the raw string buffers), never a pandas object-array
+    round trip."""
 
     def dedup(t: pa.Table) -> pa.Table:
         return _distinct_table(t, keys)
 
     pre = ds.map_batches(dedup, batch_format="pyarrow", batch_size=65536)
-    s = pre.sort(keys).materialize()
-
-    def interior(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        keep = t.filter(pa.array(~_edge_key_mask_arrow(t, keys)))
-        return _distinct_table(keep, keys)
-
-    def boundary(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        edge = t.filter(pa.array(_edge_key_mask_arrow(t, keys)))
-        return _distinct_table(edge, keys)
-
-    def final_dedup(t: pa.Table) -> pa.Table:
-        return _distinct_table(t, keys)
-
-    b = (
-        s.map_batches(boundary, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(final_dedup, batch_format="pyarrow", batch_size=None)
-    )
-    return s.map_batches(
-        interior, batch_format="pyarrow", batch_size=None
-    ).union(b)
+    return _window_by_key_arrow(pre, keys, keys, dedup, precombine=dedup)

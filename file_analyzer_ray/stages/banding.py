@@ -9,18 +9,18 @@ empty-frame construction — with b bands per doc nearly every bucket
 is a singleton, so at N docs that is N×b wasted Python calls
 (measured: 10 s of a 12 s minhash run at 5k docs).
 
-This module provides the engine-wide replacement: ONE sort by the
-band key, then each sorted block processes its complete bucket runs
-with a caller-supplied VECTORIZED pair kernel; rows carrying a
-block's first/last band key (the only buckets that can straddle a
-block boundary) are routed down a small side-channel and processed in
-one extra task. Cross-band duplicate pairs are deduped by the caller
-(``_distinct_native`` or a verify step).
+This module provides the engine-wide replacement: the band-key
+co-grouping runs on the sorted-run primitive
+(``query_utils._window_by_key_arrow``) — ONE sort by the band key,
+then each sorted block processes its complete bucket runs with a
+caller-supplied VECTORIZED pair kernel; buckets straddling a block
+boundary ride the primitive's boundary side-channel. Cross-band
+duplicate pairs are deduped by the caller (``_distinct_native`` or a
+verify step).
 
-Arrow end to end (VERDICT r2 #4): blocks stay ``pyarrow`` through the
-split/sort plumbing — the kernels read columns as numpy views and
-emit ``pa.Table.from_arrays`` directly, never paying a pandas
-BlockManager construction per block.
+Arrow end to end (VERDICT r2 #4): the kernels read columns as numpy
+views and emit ``pa.Table.from_arrays`` directly, never paying a
+pandas BlockManager construction per block.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..query_utils import _edge_key_mask_arrow
+from ..query_utils import _window_by_key_arrow
 
 
 def _col_np(t: pa.Table, name: str) -> np.ndarray:
@@ -53,35 +53,10 @@ def banded_pairs(
             [(c, pa.from_numpy_dtype(np.dtype(d))) for c, d in out_schema.items()]
         )
 
-    def _empty() -> pa.Table:
-        return out_schema.empty_table()
+    def kernel(t: pa.Table) -> pa.Table:
+        return pair_kernel(t) if t.num_rows else out_schema.empty_table()
 
-    s = bands.sort("band").materialize()
-
-    def interior(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty()
-        keep = t.filter(pa.array(~_edge_key_mask_arrow(t, ["band"])))
-        if keep.num_rows == 0:
-            return _empty()
-        return pair_kernel(keep)
-
-    def boundary(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        return t.filter(pa.array(_edge_key_mask_arrow(t, ["band"])))
-
-    def boundary_apply(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty()
-        return pair_kernel(t.sort_by("band"))
-
-    b = (
-        s.map_batches(boundary, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(boundary_apply, batch_format="pyarrow", batch_size=None)
-    )
-    return s.map_batches(interior, batch_format="pyarrow", batch_size=None).union(b)
+    return _window_by_key_arrow(bands, ["band"], ["band"], kernel)
 
 
 def run_bounds(bvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,8 @@ Two paths, same auto doctrine as ``stages/decontaminate.py``:
   is the common 100 TB shape.
 - **join** (dup set too big to ride along): no driver transit at all —
   gram OCCURRENCES (doc_id, i, g) union-tagged with the dup-gram table
-  are sorted by gram once and semi-joined by run-scan (a run containing
+  are sorted by gram once (the sorted-run primitive,
+  ``query_utils._window_by_key_arrow``) and semi-joined by run-scan (a run containing
   a tag-1 row marks all its tag-0 occurrences as hits); hit intervals
   are then union-tagged with the documents themselves and sorted by
   (doc_id, tag, i) once, so ONE run-scan computes every document's
@@ -47,6 +48,8 @@ import ray.data
 
 from ..functions.hashing import stable_u64
 from ..functions.text import tokenize
+from ..query_utils import _window_by_key_arrow
+from .banding import run_bounds
 
 _MAX_BROADCAST_GRAMS = 5_000_000  # ~40 MB of int64 in the object store
 
@@ -120,45 +123,14 @@ def dup_gram_table(
         out = np.concatenate(parts) if parts else np.empty(0, np.int64)
         return pa.Table.from_arrays([pa.array(out)], names=["g"])
 
+    def runs_ge(t: pa.Table) -> pa.Table:
+        g = t.column("g").to_numpy(zero_copy_only=False)
+        starts, ends = run_bounds(g)
+        keep = starts[(ends - starts) >= min_docs]
+        return pa.Table.from_arrays([pa.array(g[keep], pa.int64())], names=["g"])
+
     pairs = docs.map_batches(per_doc_distinct, batch_format="pyarrow")
-    s = pairs.sort("g").materialize()
-
-    def runs_ge(t: pa.Table, drop_edges: bool) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.Table.from_arrays([pa.array([], pa.int64())], names=["g"])
-        g = t.column("g").to_numpy(zero_copy_only=False)
-        if drop_edges:
-            keep = (g != g[0]) & (g != g[-1])
-            g = g[keep]
-            if len(g) == 0:
-                return pa.Table.from_arrays([pa.array([], pa.int64())],
-                                            names=["g"])
-        starts = np.flatnonzero(np.diff(g, prepend=g[0] - 1) != 0)
-        counts = np.diff(starts, append=len(g))
-        return pa.Table.from_arrays(
-            [pa.array(g[starts[counts >= min_docs]])], names=["g"]
-        )
-
-    def interior(t: pa.Table) -> pa.Table:
-        return runs_ge(t, drop_edges=True)
-
-    def edges(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        g = t.column("g").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array((g == g[0]) | (g == g[-1])))
-
-    def edge_apply(t: pa.Table) -> pa.Table:
-        return runs_ge(t.sort_by("g"), drop_edges=False)
-
-    b = (
-        s.map_batches(edges, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(edge_apply, batch_format="pyarrow", batch_size=None)
-    )
-    return s.map_batches(
-        interior, batch_format="pyarrow", batch_size=None
-    ).union(b)
+    return _window_by_key_arrow(pairs, ["g"], ["g"], runs_ge)
 
 
 _OUT_SCHEMA = pa.schema(
@@ -263,53 +235,25 @@ def dup_span_mask(
              "tag": np.ones(len(g), dtype=np.int8)}
         )
 
+    def runs_hits(t: pa.Table) -> pa.Table:
+        """Semi-join by run-scan: a gram run containing a tag-1 (dup)
+        row marks all its tag-0 occurrences as hits."""
+        if t.num_rows == 0:
+            return pa.Table.from_pydict(
+                {"doc_id": pa.array([], pa.int64()), "i": pa.array([], pa.int64())}
+            )
+        tag = t.column("tag").to_numpy(zero_copy_only=False)
+        starts, ends = run_bounds(t.column("g").to_numpy(zero_copy_only=False))
+        has_dup = np.maximum.reduceat(tag, starts).astype(bool)
+        hit = np.repeat(has_dup, ends - starts) & (tag == 0)
+        return pa.Table.from_pydict({
+            "doc_id": t.column("doc_id").to_numpy(zero_copy_only=False)[hit],
+            "i": t.column("i").to_numpy(zero_copy_only=False)[hit],
+        })
+
     occ = docs.map_batches(occurrences, batch_format="pyarrow")
     both = occ.union(dup.map_batches(dup_tagged, batch_format="pyarrow"))
-    s = both.sort("g").materialize()
-
-    def runs_hits(t: pa.Table, drop_edges: bool) -> pa.Table:
-        empty = pa.Table.from_pydict(
-            {"doc_id": pa.array([], pa.int64()), "i": pa.array([], pa.int64())}
-        )
-        if t.num_rows == 0:
-            return empty
-        g = t.column("g").to_numpy(zero_copy_only=False)
-        tag = t.column("tag").to_numpy(zero_copy_only=False)
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        pos = t.column("i").to_numpy(zero_copy_only=False)
-        if drop_edges:
-            keep = (g != g[0]) & (g != g[-1])
-            g, tag, doc, pos = g[keep], tag[keep], doc[keep], pos[keep]
-            if len(g) == 0:
-                return empty
-        starts = np.flatnonzero(np.diff(g, prepend=g[0] - 1) != 0)
-        run_id = np.zeros(len(g), dtype=np.int64)
-        run_id[starts] = 1
-        run_id = np.cumsum(run_id) - 1
-        has_dup = np.zeros(len(starts), dtype=bool)
-        np.maximum.at(has_dup, run_id, tag.astype(bool))
-        hit = has_dup[run_id] & (tag == 0)
-        return pa.Table.from_pydict({"doc_id": doc[hit], "i": pos[hit]})
-
-    def interior_hits(t: pa.Table) -> pa.Table:
-        return runs_hits(t, drop_edges=True)
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        g = t.column("g").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array((g == g[0]) | (g == g[-1])))
-
-    def edge_hits(t: pa.Table) -> pa.Table:
-        return runs_hits(t.sort_by("g"), drop_edges=False)
-
-    hits = s.map_batches(
-        interior_hits, batch_format="pyarrow", batch_size=None
-    ).union(
-        s.map_batches(edge_rows, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(edge_hits, batch_format="pyarrow", batch_size=None)
-    )
+    hits = _window_by_key_arrow(both, ["g"], ["g"], runs_hits)
 
     # per-doc aggregation: union-tag hit intervals (tag=1) with the doc
     # spine (tag=0, carrying n_tokens in ``i``) and run-scan by doc_id.
@@ -335,27 +279,15 @@ def dup_span_mask(
 
     spine = docs.map_batches(doc_spine, batch_format="pyarrow")
     tagged = spine.union(hits.map_batches(hit_tagged, batch_format="pyarrow"))
-    s2 = tagged.sort(["doc_id", "tag", "i"]).materialize()
 
-    def per_doc(t: pa.Table, drop_edges: bool) -> pa.Table:
+    def per_doc(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64())] * 4, schema=_OUT_SCHEMA
-            )
+            return _OUT_SCHEMA.empty_table()
         doc = t.column("doc_id").to_numpy(zero_copy_only=False)
         pos = t.column("i").to_numpy(zero_copy_only=False)
         tag = t.column("tag").to_numpy(zero_copy_only=False)
-        if drop_edges:
-            keep = (doc != doc[0]) & (doc != doc[-1])
-            doc, pos, tag = doc[keep], pos[keep], tag[keep]
-            if len(doc) == 0:
-                return pa.Table.from_arrays(
-                    [pa.array([], pa.int64())] * 4, schema=_OUT_SCHEMA
-                )
-        starts = np.flatnonzero(np.diff(doc, prepend=doc[0] - 1) != 0)
-        run_id = np.zeros(len(doc), dtype=np.int64)
-        run_id[starts] = 1
-        run_id = np.cumsum(run_id) - 1
+        starts, ends = run_bounds(doc)
+        run_id = np.repeat(np.arange(len(starts)), ends - starts)
         n_runs = len(starts)
         out_ids = doc[starts]
         # tag-0 spine row sorts FIRST in each run and carries n_tokens
@@ -386,24 +318,6 @@ def dup_span_mask(
             schema=_OUT_SCHEMA,
         )
 
-    def interior_docs(t: pa.Table) -> pa.Table:
-        return per_doc(t, drop_edges=True)
-
-    def edge_docs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array((doc == doc[0]) | (doc == doc[-1])))
-
-    def edge_docs_apply(t: pa.Table) -> pa.Table:
-        return per_doc(t.sort_by([("doc_id", "ascending"),
-                                  ("tag", "ascending"),
-                                  ("i", "ascending")]), drop_edges=False)
-
-    return s2.map_batches(
-        interior_docs, batch_format="pyarrow", batch_size=None
-    ).union(
-        s2.map_batches(edge_docs, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(edge_docs_apply, batch_format="pyarrow", batch_size=None)
+    return _window_by_key_arrow(
+        tagged, ["doc_id"], ["doc_id", "tag", "i"], per_doc
     )

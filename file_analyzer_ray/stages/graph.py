@@ -32,14 +32,15 @@ RANK_DECIMALS = 8
 def _sum_by_key(ds: "ray.data.Dataset", key: str, val: str,
                 out_val: str) -> "ray.data.Dataset":
     """Unbounded-cardinality sum: per-batch Arrow hash-combine → one
-    sort by key → vectorized run-sum per complete key group (boundary
-    side-channel via the window engine)."""
+    sort by key → vectorized run-sum per complete key group. The run-sum
+    is also the side-channel precombine, so a hot key sends one row per
+    block edge, not its whole run."""
     from ..query_utils import _window_by_key_arrow
     from .banding import run_bounds
 
     def combine(t: pa.Table) -> pa.Table:
         agg = t.select([key, val]).group_by([key]).aggregate([(val, "sum")])
-        return agg.rename_columns([key, out_val])
+        return pa.table({key: agg.column(key), out_val: agg.column(f"{val}_sum")})
 
     pre = ds.map_batches(combine, batch_format="pyarrow")
 
@@ -58,7 +59,7 @@ def _sum_by_key(ds: "ray.data.Dataset", key: str, val: str,
             names=[key, out_val],
         )
 
-    return _window_by_key_arrow(pre, [key], [key], run_sum)
+    return _window_by_key_arrow(pre, [key], [key], run_sum, precombine=run_sum)
 
 
 #: node-count bound for the broadcast iteration path: the rank + degree
@@ -418,7 +419,7 @@ def bfs_layers(
       each round is one streaming edge pass (vectorized searchsorted
       membership) plus a node-bounded collect.
     - ``distributed`` (node space corpus-scaled): hop-propagation on
-      the ``cc_min_label_propagation`` machinery (text_dedup.py:463) —
+      the sorted-run primitive (``query_utils._window_by_key_arrow``) —
       state ``(node, hop)`` and the per-round neighbor messages
       ``(nbr, hop+1)`` are datasets; each round co-locates state and
       adjacency rows with ONE sort + run-scan (``max.reduceat``
@@ -426,7 +427,11 @@ def bfs_layers(
       min-per-node sort reduces the messages. Rounds are fixed
       (``max_hops``), nothing node-sized lands on the driver.
 
-    Requires nonnegative node ids (the −1 adjacency tag would alias)."""
+    An explicit ``source`` absent from the edge set is its own only
+    layer (hop 0) in both modes. Requires nonnegative node ids (the −1
+    adjacency tag would alias)."""
+    if source is not None and source < 0:
+        raise ValueError("bfs_layers requires a nonnegative source id")
     edges = edges.materialize()  # loop-invariant pin, as pagerank
     if source is None or mode == "auto":
         src, n_nodes = bfs_source_and_count(edges)
@@ -436,7 +441,7 @@ def bfs_layers(
             mode = (
                 "broadcast" if n_nodes <= BROADCAST_NODES_MAX else "distributed"
             )
-    if source < 0:  # empty edge table
+    if source < 0:  # no source given and the edge table is empty
         return ray.data.from_arrow(_bfs_empty())
     if mode == "broadcast":
         return ray.data.from_arrow(_bfs_broadcast(edges, source, max_hops))
@@ -493,42 +498,18 @@ def _bfs_broadcast(edges, source: int, max_hops: int) -> pa.Table:
 
 
 def _min_per_key(ds: "ray.data.Dataset", key: str, val: str) -> "ray.data.Dataset":
-    """Min ``val`` per ``key`` with ONE sort + first-row-per-run scan
-    (complete runs in-block; boundary runs down the 2-groups-per-block
-    side-channel) — cc_min_label_propagation's reducer, generalized."""
-    import pandas as pd
+    """Min ``val`` per ``key``: ONE sort by (key, val) + first-row-per-run
+    scan on the sorted-run primitive; the same scan is the side-channel
+    precombine, so a hot key sends one row per block edge."""
+    from ..query_utils import _run_starts_mask_arrow, _window_by_key_arrow
 
-    from ..query_utils import _edge_key_mask
+    def first_per_run(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return t
+        return t.take(pa.array(np.flatnonzero(_run_starts_mask_arrow(t, [key]))))
 
-    s = ds.sort([key, val]).materialize()
-
-    def interior(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return df
-        keep = df.loc[~_edge_key_mask(df, [key])]
-        return keep.drop_duplicates(key, keep="first").reset_index(drop=True)
-
-    def boundary(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return df
-        return df.loc[_edge_key_mask(df, [key])]
-
-    def boundary_min(df: "pd.DataFrame") -> "pd.DataFrame":
-        return (
-            df.sort_values([key, val], kind="stable")
-            .drop_duplicates(key, keep="first")
-            .reset_index(drop=True)
-        )
-
-    b = (
-        s.map_batches(boundary, batch_format="pandas", batch_size=None)
-        .repartition(1)
-        .map_batches(boundary_min, batch_format="pandas", batch_size=None)
-    )
-    return (
-        s.map_batches(interior, batch_format="pandas", batch_size=None)
-        .union(b)
-        .materialize()
+    return _window_by_key_arrow(
+        ds, [key], [key, val], first_per_run, precombine=first_per_run
     )
 
 
@@ -538,109 +519,84 @@ def _bfs_distributed(edges, source: int, max_hops: int) -> "ray.data.Dataset":
     one min-per-node sort). Per round each finite hop extends exactly
     one edge, so after k rounds state(v) = min(bfs_dist(v), reachable
     within k) — no convergence scalar needed for fixed-depth layers."""
-    import pandas as pd
+    import pyarrow.compute as pc
 
-    from ..query_utils import _edge_key_mask
+    from ..query_utils import _pin_blocks, _window_by_key_arrow
+    from .banding import run_bounds
 
-    def init_state(df: "pd.DataFrame") -> "pd.DataFrame":
-        nodes = pd.concat([df["u"], df["v"]], ignore_index=True)
-        vals = nodes.to_numpy()
-        if len(vals) and vals.min() < 0:
+    def endpoints(t: pa.Table) -> "tuple[np.ndarray, np.ndarray]":
+        u = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
+        v = t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
+        return u, v
+
+    def init_state(t: pa.Table) -> pa.Table:
+        u, v = endpoints(t)
+        nodes = np.unique(np.concatenate([u, v]))
+        if len(nodes) and nodes[0] < 0:
             raise ValueError("bfs_layers requires nonnegative node ids")
-        return pd.DataFrame(
-            {
-                "node": vals,
-                "hop": np.where(vals == source, 0, BFS_INF).astype(np.int64),
-            }
-        ).drop_duplicates("node")
+        hop = np.where(nodes == source, 0, BFS_INF).astype(np.int64)
+        return pa.table({"node": nodes, "hop": hop})
 
+    # the source row is seeded explicitly, so a source absent from the
+    # edge set still lands at hop 0 (as in broadcast mode)
+    seed = ray.data.from_arrow(
+        pa.table({"node": pa.array([source], pa.int64()),
+                  "hop": pa.array([0], pa.int64())})
+    )
     state = _min_per_key(
-        edges.map_batches(init_state, batch_format="pandas"), "node", "hop"
+        edges.map_batches(init_state, batch_format="pyarrow").union(seed),
+        "node", "hop",
     )
 
-    def edge_msgs(df: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame(
-            {
-                "node": pd.concat([df["u"], df["v"]], ignore_index=True),
-                "nbr": pd.concat([df["v"], df["u"]], ignore_index=True),
-            }
-        )
+    def adj_rows(t: pa.Table) -> pa.Table:
+        u, v = endpoints(t)
+        return pa.table({
+            "node": np.concatenate([u, v]),
+            "nbr": np.concatenate([v, u]),
+            "hop": np.full(2 * len(u), -1, dtype=np.int64),
+        })
 
-    adj = edges.map_batches(edge_msgs, batch_format="pandas")
+    adj = edges.map_batches(adj_rows, batch_format="pyarrow")
 
-    def tag_state(df: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame(
-            {"node": df["node"], "nbr": -1, "hop": df["hop"]}
-        )
+    def tag_state(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "node": t.column("node"),
+            "nbr": pa.array(np.full(t.num_rows, -1, dtype=np.int64)),
+            "hop": t.column("hop"),
+        })
 
-    def tag_adj(df: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame({"node": df["node"], "nbr": df["nbr"], "hop": -1})
-
-    def forward(df: "pd.DataFrame") -> "pd.DataFrame":
+    def forward(t: pa.Table) -> pa.Table:
         """Per complete node-run: adjacency rows carry hop = −1 and the
         single state row carries the node's current hop (≥ 0), so
         ``max.reduceat`` recovers the state hop regardless of row order
         within the run. Emit (nbr, hop+1) per adjacency row of a
         REACHED node plus (node, hop) for the node itself."""
-        if df.empty:
-            return pd.DataFrame({"node": df["node"], "hop": df["hop"]})
-        nodes = df["node"].to_numpy()
-        hops = df["hop"].to_numpy()
-        nbrs = df["nbr"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
-        ends = np.r_[starts[1:], len(nodes)]
+        if t.num_rows == 0:
+            return _bfs_empty()
+        nodes = t.column("node").to_numpy(zero_copy_only=False)
+        hops = t.column("hop").to_numpy(zero_copy_only=False)
+        nbrs = t.column("nbr").to_numpy(zero_copy_only=False)
+        starts, ends = run_bounds(nodes)
         run_hop = np.maximum.reduceat(hops, starts)
-        run_of = np.repeat(np.arange(len(starts)), ends - starts)
-        my_hop = run_hop[run_of]
+        my_hop = np.repeat(run_hop, ends - starts)
         send = (nbrs >= 0) & (my_hop < BFS_INF)
-        out_node = np.concatenate([nbrs[send], nodes[starts]])
-        out_hop = np.concatenate([my_hop[send] + 1, run_hop])
-        return pd.DataFrame({"node": out_node, "hop": out_hop})
+        return pa.table({
+            "node": np.concatenate([nbrs[send], nodes[starts]]),
+            "hop": np.concatenate([my_hop[send] + 1, run_hop]),
+        })
 
     for _ in range(max_hops):
-        combined = state.map_batches(tag_state, batch_format="pandas").union(
-            adj.map_batches(tag_adj, batch_format="pandas")
-        )
-        s = combined.sort(["node", "hop"]).materialize()
-
-        def interior_fwd(df: "pd.DataFrame") -> "pd.DataFrame":
-            if df.empty:
-                return forward(df)
-            return forward(
-                df.loc[~_edge_key_mask(df, ["node"])].reset_index(drop=True)
-            )
-
-        def boundary_rows(df: "pd.DataFrame") -> "pd.DataFrame":
-            if df.empty:
-                return df
-            return df.loc[_edge_key_mask(df, ["node"])]
-
-        def boundary_fwd(df: "pd.DataFrame") -> "pd.DataFrame":
-            return forward(
-                df.sort_values(["node", "hop"], kind="stable").reset_index(
-                    drop=True
-                )
-            )
-
-        msgs = s.map_batches(
-            interior_fwd, batch_format="pandas", batch_size=None
-        ).union(
-            s.map_batches(boundary_rows, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(boundary_fwd, batch_format="pandas", batch_size=None)
+        msgs = _window_by_key_arrow(
+            state.map_batches(tag_state, batch_format="pyarrow").union(adj),
+            ["node"], ["node", "hop"], forward,
         )
         # _pin_blocks: cut the loop state's logical plan per round
         # (bare materialize compounds the union tree — see query_utils)
-        from ..query_utils import _pin_blocks
-
         state = _pin_blocks(_min_per_key(msgs, "node", "hop"))
 
-    def finish(df: "pd.DataFrame") -> "pd.DataFrame":
-        out = df.loc[df["hop"] < BFS_INF, ["node", "hop"]].copy()
-        out["node"] = out["node"].astype(np.int64)
-        out["hop"] = out["hop"].astype(np.int64)
-        return out
+    def finish(t: pa.Table) -> pa.Table:
+        return t.filter(pc.less(t.column("hop"), BFS_INF)).select(["node", "hop"])
 
-    return state.map_batches(finish, batch_format="pandas").sort(
+    return state.map_batches(finish, batch_format="pyarrow").sort(
         ["hop", "node"]
     )

@@ -14,12 +14,14 @@ Leskovec/Rajaraman/Ullman) expressed Ray-Data-first:
 
 Cluster assembly (connected components): driver union-find over the
 verified pair set (provably small after thresholding) by default, or
-:func:`cc_min_label_propagation` — iterative distributed min-label
+:func:`cc_star_contraction` — distributed large-star / small-star
 rounds with only a convergence scalar on the driver — as the
 10^12-scale path (equality-tested).
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pandas as pd
@@ -35,6 +37,8 @@ from ..functions.hashing import (
     word_ngram_hashes,
 )
 from ..functions.text import char_shingles, word_ngrams
+from ..query_utils import _window_by_key_arrow
+from .banding import run_bounds
 
 _N_PERM = 64
 _N_BANDS = 16  # 4 rows/band → recall ≈ 0.9998 at J = 0.8
@@ -131,43 +135,6 @@ def _explode_bands(batch: pa.Table) -> pa.Table:
     )
 
 
-def _make_bucket_candidates(threshold: float, est_margin: float = 0.15):
-    """In-bucket pair generation with a vectorized signature-estimate
-    prefilter: pairs whose estimated Jaccard (fraction of agreeing
-    minhash components) is below threshold−margin never reach the
-    exact verify — this is what keeps mega-buckets (a 600-clone
-    cluster is C(600,2) raw pairs) from exploding the pair shuffle."""
-    cutoff = threshold - est_margin
-
-    def bucket_candidates(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame(
-                {"doc_id_a": g["doc_id"].iloc[:0], "doc_id_b": g["doc_id"].iloc[:0]}
-            )
-        order = np.argsort(g["doc_id"].to_numpy())
-        ids = g["doc_id"].to_numpy()[order]
-        sigs = np.stack(
-            [np.frombuffer(s, dtype=np.uint64) for s in g["sig"].to_numpy()[order]]
-        )
-        est = (sigs[:, None, :] == sigs[None, :, :]).mean(axis=2)
-        keep = np.triu(est >= cutoff, k=1)
-        r, c = np.nonzero(keep)
-        return pd.DataFrame({"doc_id_a": ids[r], "doc_id_b": ids[c]})
-
-    return bucket_candidates
-
-
-def _first_pair(g: pd.DataFrame) -> pd.DataFrame:
-    return g.iloc[:1]
-
-
-def _run_bounds(bvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start/end indices of equal-value runs in a sorted array."""
-    starts = np.flatnonzero(np.r_[True, bvals[1:] != bvals[:-1]])
-    ends = np.r_[starts[1:], len(bvals)]
-    return starts, ends
-
-
 def _pairs_from_runs(ids, sigs_bytes, starts, ends, cutoff, id_type) -> pa.Table:
     """Estimate-prefiltered candidate pairs for the given bucket runs
     (vectorized per run; singleton runs cost one comparison, not a
@@ -196,62 +163,35 @@ def _lsh_candidate_pairs(docs, hash_fn, threshold: float,
     vectorized signatures → (band, doc_id, sig) explode → ONE sort by
     band key → vectorized run-scan per sorted block.
 
-    The co-grouping is a SORT + per-block numpy run detection, NOT
-    ``groupby(band).map_groups``: with 16 bands/doc nearly every bucket
-    is a singleton, and Ray/pandas per-group dispatch costs ~100 µs of
-    empty-frame construction per group — measured 10 s for a 5k-doc
-    corpus vs ~1 s for the run-scan. Buckets that straddle a block
-    boundary are routed down a boundary side-channel (first/last band
-    key of each block, a few rows per block) and paired in one extra
-    small task; interior runs are paired in place. Pairs surfacing
-    from several bands appear multiply; the verify step dedups them.
+    The co-grouping is the sorted-run primitive
+    (``query_utils._window_by_key_arrow``: SORT + per-block numpy run
+    detection), NOT ``groupby(band).map_groups``: with 16 bands/doc
+    nearly every bucket is a singleton, and Ray/pandas per-group
+    dispatch costs ~100 µs of empty-frame construction per group —
+    measured 10 s for a 5k-doc corpus vs ~1 s for the run-scan. Pairs
+    surfacing from several bands appear multiply; the verify step
+    dedups them.
     """
-    cutoff = threshold - 0.15  # see _make_bucket_candidates
+    # estimate prefilter: pairs whose estimated Jaccard (fraction of
+    # agreeing minhash components) is below threshold − 0.15 never reach
+    # the exact verify — this keeps mega-buckets (a 600-clone cluster is
+    # C(600,2) raw pairs) from exploding the pair shuffle
+    cutoff = threshold - 0.15
     sigs = docs.map_batches(
         SignatureStage(hash_fn, batch_hash_fn),
         batch_format="pyarrow", batch_size=1024,
     )
     bands = sigs.map_batches(_explode_bands, batch_format="pyarrow")
-    sorted_bands = bands.sort("band").materialize()
 
-    def interior_pairs(t: pa.Table) -> pa.Table:
-        b = t.column("band").to_numpy()
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        sb = t.column("sig").to_numpy(zero_copy_only=False)
-        starts, ends = _run_bounds(b)
-        # runs touching either block edge go to the boundary pass
-        inner = (starts > 0) & (ends < len(b))
-        return _pairs_from_runs(
-            ids, sb, starts[inner], ends[inner], cutoff,
-            t.schema.field("doc_id").type,
-        )
-
-    def boundary_rows(t: pa.Table) -> pa.Table:
-        b = t.column("band").to_numpy()
-        if not len(b):
-            return t
-        edge = (b == b[0]) | (b == b[-1])
-        return t.filter(pa.array(edge))
-
-    def boundary_pairs(t: pa.Table) -> pa.Table:
-        t = t.sort_by("band")
-        b = t.column("band").to_numpy()
-        starts, ends = _run_bounds(b)
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        starts, ends = run_bounds(t.column("band").to_numpy())
         return _pairs_from_runs(
             t.column("doc_id").to_numpy(zero_copy_only=False),
             t.column("sig").to_numpy(zero_copy_only=False),
             starts, ends, cutoff, t.schema.field("doc_id").type,
         )
 
-    interior = sorted_bands.map_batches(
-        interior_pairs, batch_format="pyarrow", batch_size=None
-    )
-    boundary = (
-        sorted_bands.map_batches(boundary_rows, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(boundary_pairs, batch_format="pyarrow", batch_size=None)
-    )
-    return interior.union(boundary)
+    return _window_by_key_arrow(bands, ["band"], ["band"], bucket_pairs)
 
 
 _DRIVER_VERIFY_MAX_PAIRS = 100_000
@@ -460,159 +400,6 @@ def simhash_near_dup_pairs(
     return _distinct_native(pairs, ["doc_id_a", "doc_id_b", "hamming"])
 
 
-def cc_min_label_propagation(
-    pairs: "ray.data.Dataset", max_iters: int = 50
-) -> "ray.data.Dataset":
-    """Distributed connected components over an edge dataset
-    (doc_id_a, doc_id_b) → (doc_id, label) with label = min doc_id of
-    the component. Iterative min-label propagation: each round unions
-    the current (node, label) state with per-edge label messages in
-    BOTH directions, then takes the min label per node with one sort +
-    run-scan (no per-group Python, no joins). Rounds ∝ component
-    diameter — near-dup clusters are dense (clone clusters are
-    near-cliques), so convergence is fast; the loop stops when the
-    global label sum stops changing (one tiny aggregate per round).
-
-    This is the at-scale replacement for driver union-find: nothing
-    ever materializes on the driver except the per-round convergence
-    scalar."""
-    from ..query_utils import _edge_key_mask
-
-    edges = pairs.select_columns(["doc_id_a", "doc_id_b"]).materialize()
-
-    def init_state(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = pd.concat([df["doc_id_a"], df["doc_id_b"]], ignore_index=True)
-        # -1 tags adjacency rows in the propagation rounds; a negative
-        # node id would alias the sentinel and corrupt its labels.
-        if len(nodes) and nodes.min() < 0:
-            raise ValueError("cc_min_label_propagation requires nonnegative node ids")
-        return pd.DataFrame({"node": nodes, "label": nodes}).drop_duplicates()
-
-    state = edges.map_batches(init_state, batch_format="pandas").materialize()
-
-    def min_per_node(ds):
-        s = ds.sort(["node", "label"]).materialize()
-
-        def interior(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return df
-            keep = df.loc[~_edge_key_mask(df, ["node"])]
-            return keep.drop_duplicates("node", keep="first").reset_index(drop=True)
-
-        def boundary(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return df
-            return df.loc[_edge_key_mask(df, ["node"])]
-
-        def boundary_min(df: pd.DataFrame) -> pd.DataFrame:
-            return (
-                df.sort_values(["node", "label"], kind="stable")
-                .drop_duplicates("node", keep="first")
-                .reset_index(drop=True)
-            )
-
-        b = (
-            s.map_batches(boundary, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(boundary_min, batch_format="pandas", batch_size=None)
-        )
-        return s.map_batches(
-            interior, batch_format="pandas", batch_size=None
-        ).union(b).materialize()
-
-    prev_sum = None
-    for _ in range(max_iters):
-        # label messages along edges need label(node): co-locate state
-        # rows and edge endpoints by node with one sort, then each
-        # node-run knows its label and forwards it to every neighbor.
-        def edge_msgs(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "node": pd.concat(
-                        [df["doc_id_a"], df["doc_id_b"]], ignore_index=True
-                    ),
-                    "nbr": pd.concat(
-                        [df["doc_id_b"], df["doc_id_a"]], ignore_index=True
-                    ),
-                }
-            )
-
-        adj = edges.map_batches(edge_msgs, batch_format="pandas")
-
-        def tag_state(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": df["node"], "nbr": -1, "label": df["label"]})
-
-        def tag_adj(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": df["node"], "nbr": df["nbr"], "label": -1})
-
-        combined = (
-            state.map_batches(tag_state, batch_format="pandas")
-            .union(adj.map_batches(tag_adj, batch_format="pandas"))
-        )
-        s = combined.sort(["node", "label"]).materialize()
-
-        def forward(df: pd.DataFrame) -> pd.DataFrame:
-            """Per complete node-run: adjacency rows carry label = -1
-            and the single state row carries the node's current label
-            (≥ 0), so ``max.reduceat`` over each run recovers the state
-            label regardless of row order within the run. Emit
-            (nbr, label) for each adjacency row plus (node, label) for
-            the node itself. Requires nonnegative node ids — the -1
-            sentinel in the label column would be indistinguishable
-            from a real label otherwise (asserted at entry)."""
-            if df.empty:
-                return pd.DataFrame({"node": df["node"], "label": df["node"]})
-            nodes = df["node"].to_numpy()
-            labels = df["label"].to_numpy()
-            nbrs = df["nbr"].to_numpy()
-            starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
-            ends = np.r_[starts[1:], len(nodes)]
-            run_label = np.maximum.reduceat(labels, starts)  # the state row's label
-            run_of = np.repeat(np.arange(len(starts)), ends - starts)
-            my_label = run_label[run_of]
-            is_adj = nbrs >= 0
-            out_node = np.concatenate([nbrs[is_adj], nodes[starts]])
-            out_label = np.concatenate([my_label[is_adj], run_label])
-            return pd.DataFrame({"node": out_node, "label": out_label})
-
-        def interior_fwd(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return forward(df)
-            return forward(df.loc[~_edge_key_mask(df, ["node"])].reset_index(drop=True))
-
-        def boundary_rows(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return df
-            return df.loc[_edge_key_mask(df, ["node"])]
-
-        def boundary_fwd(df: pd.DataFrame) -> pd.DataFrame:
-            return forward(
-                df.sort_values(["node", "label"], kind="stable").reset_index(drop=True)
-            )
-
-        msgs = s.map_batches(
-            interior_fwd, batch_format="pandas", batch_size=None
-        ).union(
-            s.map_batches(boundary_rows, batch_format="pandas", batch_size=None)
-            .repartition(1)
-            .map_batches(boundary_fwd, batch_format="pandas", batch_size=None)
-        )
-        # _pin_blocks: cut the loop state's logical plan per round
-        # (bare materialize compounds the union tree — see query_utils)
-        from ..query_utils import _pin_blocks
-
-        state = _pin_blocks(min_per_node(msgs))
-        cur = state.map_batches(
-            lambda df: pd.DataFrame({"s": [int(df["label"].sum())]}),
-            batch_format="pandas", batch_size=None,
-        ).to_pandas()["s"].sum()
-        if cur == prev_sum:
-            break
-        prev_sum = cur
-    return state
-
-
-
 def _dedup_pairs(lo: np.ndarray, hi: np.ndarray):
     """Vectorized distinct over int64 pairs — full-range safe (no
     packing into one word, which would collide for ids ≥ 2³²)."""
@@ -629,10 +416,10 @@ def cc_star_contraction(
 ) -> "ray.data.Dataset":
     """Distributed connected components by alternating large-star /
     small-star contraction (Kiveris et al., "Connected Components in
-    MapReduce and Beyond", SoCC'14) — same contract as
-    :func:`cc_min_label_propagation` ((doc_id_a, doc_id_b) →
-    (node, label), label = component min; equality-pinned in pytest)
-    but O(log) rounds instead of rounds ∝ component DIAMETER: each
+    MapReduce and Beyond", SoCC'14): (doc_id_a, doc_id_b) →
+    (node, label), label = component min (pinned against brute-force
+    union-find in pytest), in O(log) rounds where min-label
+    propagation needs rounds ∝ component DIAMETER: each
     round rewires every node's neighbors at the minimum of its closed
     neighborhood, halving path lengths, so a sparse high-diameter
     graph (the part co-occurrence giant component: diameter ~50 at
@@ -642,9 +429,9 @@ def cc_star_contraction(
     Per round: ONE sort of the 2m-row adjacency expansion + a
     vectorized run-scan (minimum.reduceat) emitting the rewired
     edges — no joins, no driver state but the convergence scalar
-    (a wraparound hash-sum of the canonical edge set)."""
-    from ..query_utils import _window_by_key_arrow
-
+    (a wraparound hash-sum of the canonical edge set). Warns when
+    ``max_iters`` runs out before that hash stops changing: the labels
+    of a non-converged star graph need not be component minima."""
     def init_edges(t: pa.Table) -> pa.Table:
         a = t.column("doc_id_a").combine_chunks().cast(pa.int64()).to_numpy(
             zero_copy_only=False
@@ -735,6 +522,7 @@ def cc_star_contraction(
     from ..query_utils import _distinct_native, _pin_blocks
 
     prev = None
+    converged = False
     for _ in range(max_iters):
         for large in (True, False):
             # the same rewired edge (v, m) is emitted by MANY node runs;
@@ -753,8 +541,17 @@ def cc_star_contraction(
             )
         cur = edge_hash(edges)
         if cur == prev:
+            converged = True
             break
         prev = cur
+    if not converged:
+        warnings.warn(
+            f"cc_star_contraction: edge set still changing after "
+            f"max_iters={max_iters} rounds; labels may not be component "
+            f"minima",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     def labels_fn(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -785,7 +582,7 @@ def ngram_dedup_clusters(
     """Word n-gram Jaccard dedup clusters (size ≥ 2): LSH pairs →
     connected components. ``assembly='driver'`` runs union-find on the
     collected pairs; ``assembly='distributed'`` runs
-    :func:`cc_min_label_propagation` + a sort/run-scan cluster
+    :func:`cc_star_contraction` + a sort/run-scan cluster
     assembly, with nothing but a convergence scalar on the driver —
     the 10^12-scale path (equality-tested against the driver path).
     ``'auto'`` (default) picks by the MEASURED verified-pair count
@@ -802,13 +599,10 @@ def ngram_dedup_clusters(
         )
 
     if assembly == "distributed":
-        from ..query_utils import _window_by_key_arrow
-
-        # star contraction (r5): O(log) rounds vs min-label's rounds
-        # ∝ component diameter — near-dup clusters are usually dense,
+        # star contraction: O(log) rounds vs min-label's rounds ∝
+        # component diameter — near-dup clusters are usually dense,
         # but a CHAIN of near-dups (doc A ~ B ~ C ... with A !~ C) is
-        # exactly the high-diameter case; identical labels
-        # (equality-pinned in test_star_cc)
+        # exactly the high-diameter case
         labels = cc_star_contraction(pairs)
 
         def clusters_fn(t: pa.Table) -> pa.Table:

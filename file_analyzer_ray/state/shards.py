@@ -20,9 +20,10 @@ with the same filename is re-processed, not skipped), output_fingerprint
 the cross-parallelism identity check), row_count, span_count,
 engine_version, run_meta}.
 
-Ray shape: ``from_items(shard_paths) → map_batches(ShardWorker,
-batch_size=1, actor pool)`` — the worker holds the fused ExtractStage
-(automata compiled once per actor) and streams one shard per call.
+Ray shape: ``ray.util.ActorPool.map_unordered`` over the shard paths
+— each pooled actor holds a ``ShardWorker`` with the fused
+ExtractStage (automata compiled once per actor) and processes one
+shard per call.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .. import __version__
 # NOTE: no module-level ``ray``/``ray.data``/pandas import — this module
 # is the actor-side dependency chain, and every worker process pays its
 # import time at actor cold-start (measured ~0.9 s for ray.data+pandas
-# on this box, ×30 contending actors ≈ 2 s of the timed job). The
-# dataset-dispatch branch imports ray.data lazily.
+# on this box, ×30 contending actors ≈ 2 s of the timed job).
 
 MANIFEST_SUFFIX = ".manifest.json"
 
@@ -196,27 +196,31 @@ def run_sharded(
     resume: bool = True,
     run_meta: dict | None = None,
     fail_shards: frozenset[str] = frozenset(),
-    dispatch: str = "actor_pool",
     keep_pool: bool = False,
 ) -> dict:
     """Extract every parquet shard under ``src_dir`` into fenced output
     shards. Resume skips fenced shards BEFORE any read is scheduled
     (input pruning, not row filtering). Returns run metrics.
 
-    ``dispatch='actor_pool'`` (default) drives the same ``ShardWorker``
-    actors through ``ray.util.ActorPool.map_unordered`` — dynamic
-    work-stealing balancing with none of the Dataset streaming
-    executor's per-task scheduling cost, which measures ~40% of wall
-    time for these sub-second shard tasks (81k vs 43k docs/s at 32
-    CPUs on the 800k-doc corpus). ``dispatch='dataset'`` keeps the
-    ``from_items → map_batches`` formulation for composing the shard
-    map into a larger Dataset plan."""
+    Shards are driven through ``ShardWorker`` actors by
+    ``ray.util.ActorPool.map_unordered`` — dynamic work-stealing
+    balancing with none of the Dataset streaming executor's per-task
+    scheduling cost, which measures ~40% of wall time for these
+    sub-second shard tasks (81k vs 43k docs/s at 32 CPUs on the
+    800k-doc corpus). ``concurrency`` is the actor count (a
+    ``(min, max)`` tuple uses its max); the default is every CPU of
+    the session on small hosts and all but two on larger ones. With
+    ``keep_pool=True`` the pool is cached for the next call with the
+    same parameters, keyed on the requested actor count — a resume of
+    fewer shards than actors reuses the warm pool."""
     import glob as _glob
 
     import ray
+    from ray.util import ActorPool
 
     from .guard import validate_sink_dir
 
+    global _POOL_CACHE
     out_dir = validate_sink_dir(out_dir)
     shards = sorted(_glob.glob(os.path.join(src_dir, "*.parquet")))
     done = completed_shards(out_dir) if resume else {}
@@ -239,73 +243,56 @@ def run_sharded(
         # Use EVERY core as an actor on small hosts (measured: 8 CPUs /
         # 8 actors = 47k docs/s vs 31k at 6 actors — the driver's
         # dispatch loop is cheap enough to share a core); reserve 2
-        # driver/system cores only on larger hosts.
-        n_act = max(2, cpus if cpus <= 8 else cpus - 2)
-        concurrency = (min(8, n_act), n_act)
+        # driver/system cores only on larger hosts. Never more actors
+        # than CPUs: a num_cpus=1 actor that cannot be placed leaves
+        # ActorPool waiting on it forever.
+        concurrency = max(1, cpus if cpus <= 8 else cpus - 2)
+    n_actors = concurrency[1] if isinstance(concurrency, tuple) else concurrency
     ctor_kwargs = {
         "out_dir": out_dir,
         "score": score,
         "run_meta": run_meta,
         "fail_shards": fail_shards,
     }
-    if dispatch == "actor_pool":
-        global _POOL_CACHE
-        from ray.util import ActorPool
-
-        n_actors = concurrency[1] if isinstance(concurrency, tuple) else concurrency
-        n_actors = min(n_actors, len(todo))
-        key = (
-            n_actors, out_dir, score,
-            json.dumps(run_meta or {}, sort_keys=True),
-            tuple(sorted(fail_shards)),
-        )
-        if keep_pool and _POOL_CACHE is not None and _POOL_CACHE[0] == key:
-            actors = _POOL_CACHE[1]
-        else:
+    key = (
+        n_actors, out_dir, score,
+        json.dumps(run_meta or {}, sort_keys=True),
+        tuple(sorted(fail_shards)),
+    )
+    actors = None
+    if keep_pool and _POOL_CACHE is not None and _POOL_CACHE[0] == key:
+        actors = _POOL_CACHE[1]
+    for attempt in range(2):
+        if actors is None:
             shutdown_pool()
             worker_cls = ray.remote(num_cpus=1)(_PooledShardWorker)
-            actors = [worker_cls.remote(ctor_kwargs) for _ in range(n_actors)]
+            # a kept pool serves later full runs too: start it at the
+            # requested size, not clipped to this call's shard count
+            n = n_actors if keep_pool else min(n_actors, len(todo))
+            actors = [worker_cls.remote(ctor_kwargs) for _ in range(n)]
         try:
-            pool = ActorPool(actors)
             results = [
                 row
-                for rows in pool.map_unordered(
+                for rows in ActorPool(actors).map_unordered(
                     lambda a, p: a.run.remote(p), todo
                 )
                 for row in rows
             ]
-        except ray.exceptions.RayActorError:
-            # a cached actor died between runs — rebuild once, cold
-            _POOL_CACHE = None
-            worker_cls = ray.remote(num_cpus=1)(_PooledShardWorker)
-            actors = [worker_cls.remote(ctor_kwargs) for _ in range(n_actors)]
-            pool = ActorPool(actors)
-            results = [
-                row
-                for rows in pool.map_unordered(
-                    lambda a, p: a.run.remote(p), todo
-                )
-                for row in rows
-            ]
-        if keep_pool:
-            _POOL_CACHE = (key, actors)
-        else:
+            break
+        except Exception as exc:
+            # a failed run leaves no live pool behind
             for a in actors:
                 ray.kill(a)
+            _POOL_CACHE = None
+            actors = None
+            # a cached actor that died between runs: rebuild once, cold
+            if attempt or not isinstance(exc, ray.exceptions.RayActorError):
+                raise
+    if keep_pool:
+        _POOL_CACHE = (key, actors)
     else:
-        import ray.data
-
-        results = (
-            ray.data.from_items(todo)
-            .map_batches(
-                ShardWorker,
-                fn_constructor_kwargs=ctor_kwargs,
-                batch_size=1,
-                concurrency=concurrency,
-                num_cpus=1,
-            )
-            .take_all()
-        )
+        for a in actors:
+            ray.kill(a)
     return {
         "shards": len(results),
         "rows": sum(r["row_count"] for r in results),
@@ -315,17 +302,14 @@ def run_sharded(
 
 
 class _PooledShardWorker:
-    """ActorPool wrapper around :class:`ShardWorker` (one shard — or a
-    chunk of shards — per call, returns manifest rows as plain dicts)."""
+    """ActorPool wrapper around :class:`ShardWorker` (one shard per
+    call, returns manifest rows as plain dicts)."""
 
     def __init__(self, ctor_kwargs: dict):
         self.worker = ShardWorker(**ctor_kwargs)
 
     def run(self, path: str) -> list[dict]:
         return self.worker({"item": [path]}).to_pylist()
-
-    def run_many(self, paths: list[str]) -> list[dict]:
-        return self.worker({"item": list(paths)}).to_pylist()
 
     def reset_caches(self) -> None:
         """Drop per-content result caches (score memo) but keep the

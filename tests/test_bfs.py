@@ -102,3 +102,14 @@ def test_bfs_auto_switch_threshold(ray_session, monkeypatch):
     monkeypatch.setattr(g, "BROADCAST_NODES_MAX", 2)
     auto = _df(g.bfs_layers(e, source=0, max_hops=3, mode="auto"))
     pd.testing.assert_frame_equal(base, auto)
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "distributed"])
+def test_bfs_explicit_source_absent_from_edges(ray_session, mode):
+    """An explicit source with no edges is its own only layer in both
+    modes; a negative explicit source is rejected."""
+    e = ray.data.from_items([{"u": u, "v": v} for u, v in sorted(EDGES)])
+    got = _df(bfs_layers(e, source=42, max_hops=3, mode=mode))
+    assert got.to_dict("records") == [{"node": 42, "hop": 0}]
+    with pytest.raises(ValueError):
+        bfs_layers(e, source=-1, max_hops=3, mode=mode)

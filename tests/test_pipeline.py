@@ -120,15 +120,22 @@ def test_exact_dedup_clusters_match_oracle(ray_session, ray_docs, oracle_rows):
     from file_analyzer_ray.pipelines.extract import extract_pipeline
     from file_analyzer_ray.stages.dedup import exact_dedup_clusters
 
-    extracted = extract_pipeline(ray_docs, score=False, concurrency=2)
-    got = {r["content_hash"]: r for r in exact_dedup_clusters(extracted).take_all()}
+    extracted = extract_pipeline(ray_docs, score=False, concurrency=2).materialize()
     exp = dedup_clusters(list(oracle_rows.values()))
-    assert set(got) == set(exp)
-    for h, e in exp.items():
-        g = got[h]
-        assert g["canonical_doc_id"] == e["canonical_doc_id"]
-        assert g["cluster_size"] == e["cluster_size"]
-        assert list(g["member_ids"]) == e["member_ids"]
+    # default single-task merge, then the sorted-run merge (threshold 0)
+    for threshold in (2_000_000, 0):
+        got = {
+            r["content_hash"]: r
+            for r in exact_dedup_clusters(
+                extracted, merge_threshold=threshold
+            ).take_all()
+        }
+        assert set(got) == set(exp), threshold
+        for h, e in exp.items():
+            g = got[h]
+            assert g["canonical_doc_id"] == e["canonical_doc_id"]
+            assert g["cluster_size"] == e["cluster_size"]
+            assert list(g["member_ids"]) == e["member_ids"], threshold
 
 
 def test_near_dup_phash_banding(ray_session, ray_docs):

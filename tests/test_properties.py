@@ -193,15 +193,21 @@ def test_suggest_filename_always_valid(description):
 
 
 def test_runscan_helpers_invariant_under_block_splits(ray_session):
-    """_distinct_native and _window_by_key must produce identical
+    """_distinct_native and _window_by_key_arrow must produce identical
     results regardless of how rows are split into blocks (the boundary
     side-channel must exactly compensate for straddling key groups),
-    including the degenerate single-key and hot-key-skew cases."""
+    including the degenerate single-key and hot-key-skew cases, with
+    and without a side-channel precombine."""
     import numpy as np
     import pandas as pd
+    import pyarrow as pa
     import ray.data
 
-    from file_analyzer_ray.query_utils import _distinct_native, _window_by_key
+    from file_analyzer_ray.query_utils import (
+        _distinct_native,
+        _run_starts_mask_arrow,
+        _window_by_key_arrow,
+    )
 
     rng = np.random.default_rng(11)
     n = 5000
@@ -222,20 +228,21 @@ def test_runscan_helpers_invariant_under_block_splits(ray_session):
         .reset_index(drop=True)
     )
 
-    def window_fn(b: pd.DataFrame) -> pd.DataFrame:
-        if b.empty:
-            return pd.DataFrame(
-                {"k": pd.Series([], dtype="int64"),
-                 "n_rows": pd.Series([], dtype="int64"),
-                 "v_sum": pd.Series([], dtype="int64")}
-            )
-        k = b["k"].to_numpy()
-        v = b["v"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        return pd.DataFrame(
-            {"k": k[starts], "n_rows": (ends - starts).astype("int64"),
-             "v_sum": np.add.reduceat(v, starts).astype("int64")}
+    def window_fn(t: pa.Table) -> pa.Table:
+        starts = np.flatnonzero(_run_starts_mask_arrow(t, ["k"]))
+        ends = np.r_[starts[1:], t.num_rows]
+        v = t.column("v").to_numpy()
+        return pa.table({
+            "k": t.column("k").to_numpy()[starts],
+            "n_rows": (ends - starts).astype(np.int64),
+            "v_sum": (np.add.reduceat(v, starts) if len(starts)
+                      else v[:0]).astype(np.int64),
+        })
+
+    def window(ds):
+        return (
+            _window_by_key_arrow(ds, ["k"], ["k", "v"], window_fn).to_pandas()
+            .sort_values("k").reset_index(drop=True).astype("int64")
         )
 
     for nblocks in (1, 3, 17):
@@ -245,11 +252,7 @@ def test_runscan_helpers_invariant_under_block_splits(ray_session):
             .sort_values(["k", "v"]).reset_index(drop=True).astype("int64")
         )
         pd.testing.assert_frame_equal(got_d, exp_distinct)
-        got_w = (
-            _window_by_key(ds, ["k"], ["k", "v"], window_fn).to_pandas()
-            .sort_values("k").reset_index(drop=True).astype("int64")
-        )
-        pd.testing.assert_frame_equal(got_w, exp_window)
+        pd.testing.assert_frame_equal(window(ds), exp_window)
 
     # degenerate: every row the same key (everything is boundary)
     one = pd.DataFrame({"k": np.zeros(100, dtype="int64"),
@@ -257,14 +260,66 @@ def test_runscan_helpers_invariant_under_block_splits(ray_session):
     ds1 = ray.data.from_pandas(one).repartition(4)
     got = _distinct_native(ds1, ["k", "v"]).to_pandas()
     assert len(got) == 5
-    gw = _window_by_key(ds1, ["k"], ["k", "v"], window_fn).to_pandas()
+    gw = window(ds1)
     assert len(gw) == 1 and int(gw["n_rows"].iloc[0]) == 100
 
 
+def _side_channel_rows(ds) -> int:
+    """Rows the executed Dataset's boundary side-channel carried: the
+    output rows of its ``RepartitionSplit`` operator in Ray Data's own
+    stats tree."""
+    rows = []
+
+    def walk(summary):
+        for op in summary.operators_stats:
+            if "RepartitionSplit" in op.operator_name:
+                rows.append(op.output_num_rows["sum"])
+        for parent in summary.parents:
+            walk(parent)
+
+    walk(ds._get_stats_summary())
+    assert rows, "no side-channel operator in the plan"
+    return rows[0]
+
+
+def test_precombine_bounds_side_channel_under_giant_key(ray_session):
+    """A single key across every block (a forced giant key): without a
+    precombine its whole run rides the side-channel; with an
+    associative precombine each block sends at most its 2 edge runs,
+    one row each, and the result is unchanged."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from file_analyzer_ray.query_utils import (
+        _run_starts_mask_arrow,
+        _window_by_key_arrow,
+    )
+
+    n, nblocks = 4000, 20
+    t = pa.table({"k": np.zeros(n, dtype=np.int64),
+                  "v": np.arange(n, dtype=np.int64)})
+
+    def run_min(b: pa.Table) -> pa.Table:
+        return b.take(pa.array(np.flatnonzero(_run_starts_mask_arrow(b, ["k"]))))
+
+    def run(precombine):
+        ds = ray.data.from_arrow(t).repartition(nblocks)
+        out = _window_by_key_arrow(
+            ds, ["k"], ["k", "v"], run_min, precombine=precombine
+        ).materialize()
+        assert out.take_all() == [{"k": 0, "v": 0}]
+        return _side_channel_rows(out)
+
+    # v is distinct, so the sort spreads key 0 over every block
+    assert run(None) == n
+    assert run(run_min) <= 2 * nblocks
+
+
 def test_window_by_key_arrow_matches_pandas_twin(ray_session):
-    """_window_by_key_arrow must equal _window_by_key under every block
-    split, including with STRING keys (the Arrow run-boundary mask works
-    on the raw string buffers — this pins that path)."""
+    """_window_by_key_arrow must equal a pandas groupby under every
+    block split, including with STRING keys (the Arrow run-boundary
+    mask works on the raw string buffers — this pins that path)."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa

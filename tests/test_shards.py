@@ -113,6 +113,28 @@ def test_warm_pool_rebuilds_after_actor_death(ray_session, tmp_path):
         sh.shutdown_pool()
 
 
+def test_warm_pool_kept_across_single_shard_resume(ray_session, tmp_path):
+    """A keep_pool resume with fewer unfenced shards than actors reuses
+    the warm pool (keyed on the requested actor count) instead of
+    cold-starting a smaller one."""
+    from file_analyzer_ray.pipelines.extract import corpus_path
+    from file_analyzer_ray.state import shards as sh
+
+    src = corpus_path(4000)
+    out = str(tmp_path / "o")
+    try:
+        sh.run_sharded(src, out, resume=False, concurrency=2, keep_pool=True)
+        actors = list(sh._POOL_CACHE[1])
+        assert len(actors) == 2
+        victim = sorted(sh.completed_shards(out))[-1]
+        os.remove(os.path.join(out, f"shard-{victim}{sh.MANIFEST_SUFFIX}"))
+        res = sh.run_sharded(src, out, concurrency=2, keep_pool=True)
+        assert res["shards"] == 1 and res["skipped"] >= 1
+        assert sh._POOL_CACHE[1] == actors
+    finally:
+        sh.shutdown_pool()
+
+
 def test_resume_reprocesses_regenerated_input_shard(ray_session, tmp_path):
     """A changed input shard with the SAME filename must NOT be skipped
     on resume (the fence records the input file's fingerprint)."""

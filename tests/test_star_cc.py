@@ -1,7 +1,6 @@
 """Star-contraction connected components: brute-force union-find
-equality + cc_min_label_propagation path equality (the r5 replacement
-for diameter-bound propagation in graph_components; the DuckDB oracle
-equality runs via RETIRED_QUERIES in test_queries.py)."""
+equality and the non-convergence warning (the DuckDB oracle equality
+for graph_components runs via RETIRED_QUERIES in test_queries.py)."""
 
 from __future__ import annotations
 
@@ -11,10 +10,7 @@ import pytest
 
 import ray.data
 
-from file_analyzer_ray.stages.text_dedup import (
-    cc_min_label_propagation,
-    cc_star_contraction,
-)
+from file_analyzer_ray.stages.text_dedup import cc_star_contraction
 
 
 def _brute(edges: set[tuple[int, int]]) -> pd.DataFrame:
@@ -53,8 +49,9 @@ def _pairs_ds(edges, n_parts=9):
 CASES = {
     # high-diameter path: the shape min-label pays rounds ∝ diameter on
     "path60": {(i, i + 1) for i in range(60)},
-    # hub + islands + a 3-chain
-    "hub": {(0, i) for i in range(1, 20)} | {(100, 101), (101, 102)},
+    # hub + islands + a 3-chain, plus a chain hanging off two spokes
+    "hub": {(0, i) for i in range(1, 20)} | {(100, 101), (101, 102)}
+    | {(5, 6), (6, 7)},
     # random sparse multi-component
     "rand": {
         (int(a), int(b))
@@ -71,13 +68,18 @@ def test_star_vs_bruteforce(ray_session, name):
     pd.testing.assert_frame_equal(got, _brute(edges))
 
 
-def test_star_equals_min_label_propagation(ray_session):
-    """Both distributed CC paths must agree row-for-row (the pin that
-    licensed graph_components' switch to star contraction)."""
-    edges = CASES["hub"] | {(5, 6), (6, 7)}
-    a = _df(cc_min_label_propagation(_pairs_ds(edges)))
-    b = _df(cc_star_contraction(_pairs_ds(edges)))
-    pd.testing.assert_frame_equal(a, b)
+def test_star_warns_when_max_iters_runs_out(ray_session):
+    """One round cannot contract a 60-node path, and the exhausted
+    round cap must say so instead of returning labels silently; the
+    default cap converges without a warning."""
+    import warnings
+
+    edges = CASES["path60"]
+    with pytest.warns(RuntimeWarning, match="max_iters=1"):
+        cc_star_contraction(_pairs_ds(edges), max_iters=1).materialize()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cc_star_contraction(_pairs_ds(edges)).materialize()
 
 
 def test_star_empty_input(ray_session):
