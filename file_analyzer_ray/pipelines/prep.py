@@ -36,7 +36,7 @@ import ray.data
 
 from ..functions.text import detect_language, normalize_ws, bpe_token_count
 from ..query_utils import (_run_starts_mask_arrow, _window_by_key_arrow,
-                           read_parquet_clean)
+                           key_join, read_parquet_clean)
 from ..stages.text_dedup import minhash_near_dup_pairs
 
 KEEP_LANGS = ("en", "und")
@@ -108,7 +108,7 @@ def training_prep_pipeline(
     # near-dup removal: verified pairs over the EXACT-DEDUPED corpus;
     # drop the b side of every pair (a < b, so the min-id doc survives)
     # via a streaming left_anti hash join — the drop set never lands on
-    # the driver (pattern: queries_joins.q_customers_without_orders).
+    # the driver.
     pairs = minhash_near_dup_pairs(
         exact.select_columns(["doc_id", "text"]), threshold=near_dup_threshold
     )
@@ -119,12 +119,9 @@ def training_prep_pipeline(
         k = pc.unique(t.column("doc_id_b"))
         return pa.Table.from_arrays([k.cast(pa.int64())], names=["doc_id_b"])
 
-    survivors = exact.join(
-        pairs.map_batches(b_keys, batch_format="pyarrow"),
-        join_type="left_anti",
-        num_partitions=16,
-        on=("doc_id",),
-        right_on=("doc_id_b",),
+    survivors = key_join(
+        exact, pairs.map_batches(b_keys, batch_format="pyarrow"),
+        on="doc_id", right_on="doc_id_b", how="left_anti",
     )
 
     def finalize(t: pa.Table) -> pa.Table:

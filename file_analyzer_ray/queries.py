@@ -16,8 +16,8 @@ Cross-engine float discipline (so the driver's value-hash matches):
 
 Every Ray implementation is a streaming Dataset plan: column-pruned
 reads, vectorized batch kernels, partial aggregation before the
-shuffle, broadcast small-side joins (``ray.put`` once, lookup per
-batch).
+shuffle, equi-joins through ``query_utils.key_join`` (small right sides
+broadcast once, lookup per block).
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
-from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, _small_pdf,
+from .query_utils import (_cents, _meta_rows, _preagg_native,  # noqa: F401
+                          _read, _read_coalesced, key_join,
                           read_parquet_clean)
 
 # family modules (split r5): star-import re-exposes every public q_* /
@@ -174,16 +173,20 @@ FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
 
 
 def q_customer_order_revenue(sf_dir: str):
-    """Broadcast hash join (J2 analog): customer dimension is ray.put
-    once; orders stream through map_batches with a dict lookup."""
-    cust = _small_pdf(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
-    ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    """Dimension join (J2 analog): orders ``key_join`` the customer
+    segment (~24 bytes per customer from the parquet footer, so the
+    dimension broadcasts below the join bound), then pre-aggregate."""
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
+    ds = key_join(
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]), cust,
+        on="o_custkey", right_on="c_custkey", how="inner",
+        broadcast_bytes=24 * _meta_rows(sf_dir, "customer"),
+    )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        seg_map = ray.get(ref)
-        seg = df["o_custkey"].map(seg_map)
-        out = pd.DataFrame({"mktsegment": seg, "cents": _cents(df["o_totalprice"]), "n": 1})
+        out = pd.DataFrame(
+            {"mktsegment": df["c_mktsegment"], "cents": _cents(df["o_totalprice"]), "n": 1}
+        )
         return out.groupby("mktsegment", as_index=False).sum()
 
     from ray.data.aggregate import Sum

@@ -15,8 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, _small_pdf,
-                          read_parquet_clean)
+                          _read_coalesced, read_parquet_clean)
 
 
 def q_embeddings_gram(sf_dir: str):

@@ -15,8 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, _small_pdf,
-                          read_parquet_clean)
+                          _read_coalesced, read_parquet_clean)
 
 
 def q_media_features(sf_dir: str):
@@ -392,7 +391,7 @@ def q_extract_pairwise_compare(sf_dir: str):
     (2k, 2k+1); the planted color rules exercise identical,
     below-threshold-different and mismatching pairs. The full
     production path runs — explode→decode pool→parquet checkpoint→
-    double hash join→metric kernel, Bloom pushdown included. The phash
+    two key_joins→metric kernel, Bloom pushdown included. The phash
     candidate-pair variant stays as the bench/pytest path
     (:func:`q_extract_pairwise_compare_corpus`). ``ssim`` is re-rounded
     to 4 decimals for the cross-engine hash (the kernel's 6-decimal

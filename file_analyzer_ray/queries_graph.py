@@ -15,8 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, _small_pdf,
-                          read_parquet_clean)
+                          _read_coalesced, read_parquet_clean)
 
 
 def q_graph_pagerank(sf_dir: str):
@@ -26,51 +25,30 @@ def q_graph_pagerank(sf_dir: str):
     id space), expanded undirected so no node dangles; 3 quantized
     iterations (stages/graph.py — rank vector flows as a dataset, one
     hash join + one sum-by-key per iteration, never a driver adjacency
-    structure). The edge build auto-switches on the orders row count
-    (parquet footer, free): below the broadcast bound the orderkey→
-    custkey map rides the object store once (sorted arrays +
-    searchsorted, the J2 pattern) and lineitem streams map-side; above
-    it, a hash-partitioned Dataset.join. The DuckDB oracle replays the
+    structure). The edge build is one ``key_join`` of lineitem onto the
+    orderkey→custkey map (16 bytes per order from the parquet footer,
+    free): below the broadcast bound the map rides the object store
+    once and lineitem streams map-side. The DuckDB oracle replays the
     SAME quantized updates as unrolled CTEs."""
-    from .query_utils import _distinct_native, _meta_rows
+    from .query_utils import _distinct_native, _meta_rows, key_join
     from .stages.graph import pagerank
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
-    # ~16 bytes/row broadcast: 5M orders ≈ 80 MB, comfortably object-store
-    if _meta_rows(sf_dir, "orders") <= 5_000_000:
-        o = _small_pdf(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-        okey = o["o_orderkey"].to_numpy()
-        order = np.argsort(okey)
-        ref = ray.put((okey[order], o["o_custkey"].to_numpy()[order]))
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    joined = key_join(
+        li, orders, on="l_orderkey", right_on="o_orderkey", how="inner",
+        broadcast_bytes=16 * _meta_rows(sf_dir, "orders"),
+    )
 
-        def to_edge(t: pa.Table) -> pa.Table:
-            keys, custs = ray.get(ref)
-            lkey = t.column("l_orderkey").to_numpy(zero_copy_only=False)
-            supp = t.column("l_suppkey").to_numpy(zero_copy_only=False)
-            cust = custs[np.searchsorted(keys, lkey)]
-            return pa.Table.from_arrays(
-                [pa.array(cust.astype(np.int64)),
-                 pa.array((supp + 1_000_000).astype(np.int64))],
-                names=["c", "s"],
-            )
-
-        pairs = li.map_batches(to_edge, batch_format="pyarrow")
-    else:
-        orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-        joined = orders.join(
-            li, join_type="inner", num_partitions=16,
-            on=("o_orderkey",), right_on=("l_orderkey",),
+    def to_edge(t: pa.Table) -> pa.Table:
+        supp = t.column("l_suppkey").to_numpy(zero_copy_only=False)
+        return pa.Table.from_arrays(
+            [t.column("o_custkey").cast(pa.int64()),
+             pa.array((supp + 1_000_000).astype(np.int64))],
+            names=["c", "s"],
         )
 
-        def to_edge_joined(t: pa.Table) -> pa.Table:
-            supp = t.column("l_suppkey").to_numpy(zero_copy_only=False)
-            return pa.Table.from_arrays(
-                [t.column("o_custkey"),
-                 pa.array((supp + 1_000_000).astype(np.int64))],
-                names=["c", "s"],
-            )
-
-        pairs = joined.map_batches(to_edge_joined, batch_format="pyarrow")
+    pairs = joined.map_batches(to_edge, batch_format="pyarrow")
 
     base = _distinct_native(pairs, ["c", "s"])
     # node space = customers + suppliers, bounded and KNOWN from footer

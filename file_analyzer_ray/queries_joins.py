@@ -5,13 +5,14 @@ SURVEY.md §2.4) to what a training-data engine must provide.
 
 Scale notes (each query documents its shuffle strategy):
 
-- large ⋈ large joins use ``Dataset.join`` (hash-partitioned exchange);
-  the FACT side is pre-aggregated per key inside ``map_batches`` first so
-  only narrow (key, partial) rows cross the wire;
-- semi/anti joins use Ray's ``left_semi`` / ``left_anti`` join types with
-  the filter pushed below the exchange and a per-batch dedup so the
-  build side carries distinct keys only;
-- small dimensions broadcast via ``ray.put`` (never shuffled);
+- every equi-join is ``query_utils.key_join``: the right side
+  broadcasts via ``ray.put`` while its footer-estimated size fits the
+  one byte bound, else a hash-partitioned ``Dataset.join`` sized to the
+  cluster; the FACT side is pre-aggregated per key inside
+  ``map_batches`` first so only narrow (key, partial) rows cross the
+  wire;
+- semi/anti joins push the filter below the join and dedup per batch
+  so the build side carries distinct keys only;
 - window functions (rank-per-key, rolling aggregates, session windows,
   as-of matches) run on ``query_utils._window_by_key_arrow``: ONE global
   sort by (key, order cols) + vectorized run-boundary kernels per
@@ -33,45 +34,26 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
-from .query_utils import _cents, _meta_rows, _preagg_native, _read
+from .query_utils import _cents, _meta_rows, _preagg_native, _read, key_join
 
 # ---------------------------------------------------------------------------
-# distributed hash joins (Dataset.join — the real exchange)
+# distributed equi-joins (query_utils.key_join)
 
 # Key-producing map_batches stages must return TYPED Arrow (the
 # explicit cast below): an empty pandas frame converts to a schema-less
-# Arrow block and the downstream hash join then fails to resolve the
-# key column ("No match ... on right side of the join").
-
-
-#: row bound for the broadcast join paths below: a deduped int64 key
-#: set (or key→int64 pair) of ≤2M rows is ~16-32 MB in the object
-#: store — broadcast + row-local searchsorted beats a hash exchange
-#: AND sidesteps Ray's join-aggregator CPU floor (a 2-CPU cluster
-#: cannot schedule read tasks beside the shuffle aggregators; observed
-#: stall in the num_cpus=2 sweep). Above the bound the Dataset.join
-#: path runs; both paths are equality-pinned in pytest.
-_KEYS_BROADCAST_MAX = 2_000_000
-
-
-def _distinct_i64(ds, col) -> "np.ndarray":
-    """Driver-side sorted distinct int64 column of a SMALL dataset
-    (callers gate on ``_meta_rows`` ≤ ``_KEYS_BROADCAST_MAX``; the
-    input is already per-batch deduped so rows ≤ distinct keys)."""
-    vals = np.fromiter((r[col] for r in ds.take_all()), dtype=np.int64)
-    return np.unique(vals)
+# Arrow block and a hash join then fails to resolve the key column
+# ("No match ... on right side of the join").
 
 
 def q_orders_lineitem_join_agg(sf_dir: str):
-    """Large ⋈ large inner hash join (orders ⋈ lineitem) → revenue per
+    """Large ⋈ large inner join (orders ⋈ lineitem) → revenue per
     order priority. The lineitem side is pre-aggregated to one narrow
     row per l_orderkey BEFORE the join, so the exchange moves
-    (key, int64) pairs, not raw lineitems. Below the key-broadcast
-    bound the per-order revenue table rides the object store once and
-    orders attach it row-locally (searchsorted) — no exchange at all."""
+    (key, int64) pairs, not raw lineitems; at most one 16-byte row per
+    order, so below ``key_join``'s bound the per-order revenue table
+    broadcasts and no exchange runs."""
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
@@ -93,42 +75,13 @@ def q_orders_lineitem_join_agg(sf_dir: str):
             {"l_orderkey": df["l_orderkey"], "rev4": df["sum(rev4)"].astype("int64")}
         )
 
-    from .query_utils import _meta_rows
-
     per_order = _preagg_native(li, ["l_orderkey"], li_partial, [Sum("rev4")], li_finalize,
                                input_rows=_meta_rows(sf_dir, "lineitem"))
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    if _meta_rows(sf_dir, "orders") <= _KEYS_BROADCAST_MAX:
-        rows = per_order.take_all()  # ≤ #orders ≤ bound by the gate
-        ok = np.fromiter((r["l_orderkey"] for r in rows), dtype=np.int64)
-        rv = np.fromiter((r["rev4"] for r in rows), dtype=np.int64)
-        order_ix = np.argsort(ok)
-        ref = ray.put((ok[order_ix], rv[order_ix]))
-
-        def attach(t: pa.Table) -> pa.Table:
-            keys, revs = ray.get(ref)
-            if len(keys) == 0:
-                return t.slice(0, 0).append_column(
-                    "rev4", pa.array([], pa.int64())
-                )
-            o = t.column("o_orderkey").to_numpy(zero_copy_only=False)
-            ix = np.searchsorted(keys, o)
-            ix[ix >= len(keys)] = 0
-            hit = keys[ix] == o  # inner-join semantics: drop misses
-            t = t.filter(pa.array(hit))
-            return t.append_column(
-                "rev4", pa.array(revs[ix[hit]], pa.int64())
-            )
-
-        joined = orders.map_batches(attach, batch_format="pyarrow")
-    else:
-        joined = orders.join(
-            per_order,
-            join_type="inner",
-            num_partitions=16,
-            on=("o_orderkey",),
-            right_on=("l_orderkey",),
-        )
+    joined = key_join(
+        orders, per_order, on="o_orderkey", right_on="l_orderkey", how="inner",
+        broadcast_bytes=16 * _meta_rows(sf_dir, "orders"),
+    )
 
     def pr_partial(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -166,8 +119,8 @@ GROUP BY o.o_orderpriority
 def q_orders_semi_lineitem_returns(sf_dir: str):
     """Semi-join: orders having at least one returned lineitem
     (l_returnflag = 'R') → count per priority. Filter is pushed below
-    the exchange; the build side is per-batch deduped to distinct keys
-    before the ``left_semi`` hash join."""
+    the join; the build side is per-batch deduped to distinct keys
+    before the ``left_semi`` ``key_join``."""
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
 
     def returned_keys(t: pa.Table) -> pa.Table:
@@ -178,28 +131,11 @@ def q_orders_semi_lineitem_returns(sf_dir: str):
 
     keys = li.map_batches(returned_keys, batch_format="pyarrow")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    if _meta_rows(sf_dir, "orders") <= _KEYS_BROADCAST_MAX:
-        # distinct returned orderkeys ≤ #orders ≤ the gate bound
-        ref = ray.put(_distinct_i64(keys, "l_orderkey"))
-
-        def member(t: pa.Table) -> pa.Table:
-            k = ray.get(ref)
-            if len(k) == 0:
-                return t.slice(0, 0)
-            o = t.column("o_orderkey").to_numpy(zero_copy_only=False)
-            ix = np.searchsorted(k, o)
-            ix[ix >= len(k)] = 0
-            return t.filter(pa.array(k[ix] == o))
-
-        semi = orders.map_batches(member, batch_format="pyarrow")
-    else:
-        semi = orders.join(
-            keys,
-            join_type="left_semi",
-            num_partitions=16,
-            on=("o_orderkey",),
-            right_on=("l_orderkey",),
-        )
+    # distinct returned orderkeys ≤ #orders
+    semi = key_join(
+        orders, keys, on="o_orderkey", right_on="l_orderkey", how="left_semi",
+        broadcast_bytes=8 * _meta_rows(sf_dir, "orders"),
+    )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({"o_orderpriority": df["o_orderpriority"], "n": 1})
@@ -229,8 +165,8 @@ GROUP BY o_orderpriority
 
 def q_customers_without_orders(sf_dir: str):
     """Anti-join: customers with no finalized ('F') order → count +
-    balance per market segment (``left_anti`` hash join; the status
-    filter is pushed below the exchange and keys are per-batch deduped
+    balance per market segment (``left_anti`` ``key_join``; the status
+    filter is pushed below the join and keys are per-batch deduped
     so only distinct custkeys cross the wire)."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus"])
 
@@ -242,28 +178,11 @@ def q_customers_without_orders(sf_dir: str):
 
     keys = orders.map_batches(dedup, batch_format="pyarrow")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"])
-    if _meta_rows(sf_dir, "orders") <= _KEYS_BROADCAST_MAX:
-        # distinct F-custkeys ≤ #orders ≤ the gate bound
-        ref = ray.put(_distinct_i64(keys, "o_custkey"))
-
-        def non_member(t: pa.Table) -> pa.Table:
-            k = ray.get(ref)
-            if len(k) == 0:
-                return t
-            c = t.column("c_custkey").to_numpy(zero_copy_only=False)
-            ix = np.searchsorted(k, c)
-            ix[ix >= len(k)] = 0
-            return t.filter(pa.array(k[ix] != c))
-
-        anti = cust.map_batches(non_member, batch_format="pyarrow")
-    else:
-        anti = cust.join(
-            keys,
-            join_type="left_anti",
-            num_partitions=16,
-            on=("c_custkey",),
-            right_on=("o_custkey",),
-        )
+    # distinct F-custkeys ≤ #orders
+    anti = key_join(
+        cust, keys, on="c_custkey", right_on="o_custkey", how="left_anti",
+        broadcast_bytes=8 * _meta_rows(sf_dir, "orders"),
+    )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -925,26 +844,17 @@ def q_graph_triangles(sf_dir: str):
     ).limit(100)
 
 
-#: above this customer-table size the segment filter routes through a
-#: left_semi Dataset.join instead of an object-store broadcast
-_SEGMENT_BROADCAST_MAX = 2_000_000
-
-
 def q_orders_shipping_priority(sf_dir: str):
     """TPC-H Q3 analog (shipping priority): revenue of not-yet-shipped
     lineitems for BUILDING-segment customers' orders placed before the
-    cutoff, top 10 orders by revenue. Three tables, ONE real exchange:
-    the customer side is a bounded dimension — its filtered key set
-    broadcasts via ``ray.put`` and orders filter row-locally (sorted
-    array + searchsorted, the J2 pattern; above 2M customers the same
-    step auto-routes through a left_semi Dataset.join chosen on the
-    FREE parquet footer row count). The lineitem fact side pre-
-    aggregates revenue to one narrow int row per orderkey BEFORE the
-    single orders ⋈ lineitem hash join; after it every joined row IS
-    one result group (both sides key-unique), so no second aggregate
-    — just top-k. Chaining three hash joins in one streaming plan
-    would also stack concurrent aggregator pools (the deadlock
-    documented in stages/triangles.py)."""
+    cutoff, top 10 orders by revenue. Three tables, two ``key_join``
+    calls: the BUILDING custkeys semi-filter the date-filtered orders,
+    then the per-order revenue (lineitem pre-aggregated to one narrow
+    int row per orderkey BEFORE the join) attaches each surviving
+    order's date. Both join sides are key-unique, so every joined row
+    IS one result group — no second aggregate, just top-k. The filtered
+    orders are the right side of the second join: at most one 16-byte
+    row per order, broadcast below ``key_join``'s bound."""
     cutoff = pd.Timestamp("1998-01-01")
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -958,59 +868,20 @@ def q_orders_shipping_priority(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
     cutoff_us = np.int64(pd.Timestamp("1998-01-01").value // 1000)
 
-    if _meta_rows(sf_dir, "customer") <= _SEGMENT_BROADCAST_MAX:
-        keys = np.sort(
-            np.fromiter(
-                (r["c_custkey"] for r in cust_keys.take_all()),
-                dtype=np.int64,
-            )
+    def date_filter(t: pa.Table) -> pa.Table:
+        od = (
+            t.column("o_orderdate")
+            .cast(pa.timestamp("us"))
+            .cast(pa.int64())
+            .to_numpy(zero_copy_only=False)
         )
-        ref = ray.put(keys)
+        return t.filter(pa.array(od < cutoff_us))
 
-        def ord_filter(t: pa.Table) -> pa.Table:
-            ks = ray.get(ref)
-            ck = t.column("o_custkey").to_numpy(zero_copy_only=False)
-            od = (
-                t.column("o_orderdate")
-                .cast(pa.timestamp("us"))
-                .cast(pa.int64())
-                .to_numpy(zero_copy_only=False)
-            )
-            pos = np.searchsorted(ks, ck)
-            hit = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == ck)
-            return t.filter(pa.array(hit & (od < cutoff_us))).select(
-                ["o_orderkey", "o_orderdate"]
-            )
-
-        ord_f = orders.map_batches(ord_filter, batch_format="pyarrow")
-    else:
-
-        def date_filter(t: pa.Table) -> pa.Table:
-            od = (
-                t.column("o_orderdate")
-                .cast(pa.timestamp("us"))
-                .cast(pa.int64())
-                .to_numpy(zero_copy_only=False)
-            )
-            return t.filter(pa.array(od < cutoff_us))
-
-        # materialize: the semi join and the fact join below must not
-        # share one streaming plan — two concurrent hash-join
-        # aggregator pools starve each other on small clusters (the
-        # deadlock documented in stages/triangles.py); the pinned set
-        # is the filtered dimension side, bounded well below the facts
-        ord_f = (
-            orders.map_batches(date_filter, batch_format="pyarrow")
-            .join(
-                cust_keys,
-                join_type="left_semi",
-                num_partitions=16,
-                on=("o_custkey",),
-                right_on=("c_custkey",),
-            )
-            .select_columns(["o_orderkey", "o_orderdate"])
-            .materialize()
-        )
+    ord_f = key_join(
+        orders.map_batches(date_filter, batch_format="pyarrow"),
+        cust_keys, on="o_custkey", right_on="c_custkey", how="left_semi",
+        broadcast_bytes=8 * _meta_rows(sf_dir, "customer"),
+    ).select_columns(["o_orderkey", "o_orderdate"])
 
     li = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
@@ -1041,63 +912,18 @@ def q_orders_shipping_priority(sf_dir: str):
         li, ["l_orderkey"], li_partial, [Sum("rev4")], li_finalize,
         input_rows=_meta_rows(sf_dir, "lineitem"),
     )
-
-    if _meta_rows(sf_dir, "orders") <= _KEYS_BROADCAST_MAX:
-        # filtered orders ≤ #orders ≤ the gate: broadcast (key, date)
-        # and attach to the revenue stream row-locally — the last hash
-        # join disappears, and 2-CPU clusters stay live (the join
-        # aggregators starve the read tasks there)
-        rows = ord_f.take_all()
-        ok_ = np.fromiter((r["o_orderkey"] for r in rows), dtype=np.int64)
-        dt_ = np.fromiter(
-            (pd.Timestamp(r["o_orderdate"]).value // 1000 for r in rows),
-            dtype=np.int64,
-        )
-        order_ix = np.argsort(ok_)
-        oref = ray.put((ok_[order_ix], dt_[order_ix]))
-
-        def attach_date(t: pa.Table) -> pa.Table:
-            keys, dates = ray.get(oref)
-            lk = t.column("l_orderkey").to_numpy(zero_copy_only=False)
-            if len(keys) == 0:
-                hit = np.zeros(len(lk), dtype=bool)
-                ix = hit.astype(np.int64)
-            else:
-                ix = np.searchsorted(keys, lk)
-                ix[ix >= len(keys)] = 0
-                hit = keys[ix] == lk
-            t = t.filter(pa.array(hit))
-            rev = t.column("rev4").to_numpy(zero_copy_only=False) / 10000.0
-            return pa.Table.from_arrays(
-                [
-                    t.column("l_orderkey").cast(pa.int64()),
-                    pa.array(rev, pa.float64()),
-                    pa.array(dates[ix[hit]], pa.timestamp("us")),
-                ],
-                names=["o_orderkey", "revenue", "o_orderdate"],
-            )
-
-        return (
-            per_order.map_batches(attach_date, batch_format="pyarrow")
-            .sort(["revenue", "o_orderkey"], descending=[True, False])
-            .limit(10)
-        )
-
-    joined = ord_f.join(
-        per_order,
-        join_type="inner",
-        num_partitions=16,
-        on=("o_orderkey",),
-        right_on=("l_orderkey",),
+    joined = key_join(
+        per_order, ord_f, on="l_orderkey", right_on="o_orderkey", how="inner",
+        broadcast_bytes=16 * _meta_rows(sf_dir, "orders"),
     )
 
     def finalize(t: pa.Table) -> pa.Table:
         rev = t.column("rev4").to_numpy(zero_copy_only=False) / 10000.0
         return pa.Table.from_arrays(
             [
-                t.column("o_orderkey").cast(pa.int64()),
+                t.column("l_orderkey").cast(pa.int64()),
                 pa.array(rev, pa.float64()),
-                t.column("o_orderdate"),
+                t.column("o_orderdate").cast(pa.timestamp("us")),
             ],
             names=["o_orderkey", "revenue", "o_orderdate"],
         )

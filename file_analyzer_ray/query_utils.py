@@ -9,12 +9,17 @@ when ``queries_joins`` loads before ``queries``.
 
 from __future__ import annotations
 
+import json
+import logging
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data
+
+_log = logging.getLogger(__name__)
 
 
 def _strip_schema_meta(t: "pa.Table") -> "pa.Table":
@@ -97,13 +102,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None,
 _read_coalesced = _read
 
 
-def _small_pdf(sf_dir: str, table: str, columns: list[str]) -> pd.DataFrame:
-    """Driver-side read of a small dimension table (broadcast side)."""
-    import pyarrow.parquet as pq
-
-    return pq.read_table(f"{sf_dir}/{table}.parquet", columns=columns).to_pandas()
-
-
 def _cents(x: pd.Series) -> pd.Series:
     return np.round(x.to_numpy() * 100).astype(np.int64)
 
@@ -178,6 +176,14 @@ def _preagg_native(ds, keys: list[str], partial, aggs, finalize,
     # it takes the windowed sort + run-scan path above.
     merged = merge(part.to_pandas())
     return ray.data.from_pandas(merged)
+
+
+def _rename(t: "pa.Table", names: "dict[str, str]") -> "pa.Table":
+    """Rename columns BY NAME (``{old: new}``; others kept). The column
+    order of ``group_by().aggregate()`` output differs across pyarrow
+    versions, and pyarrow 16's ``rename_columns`` takes only a
+    positional list."""
+    return t.rename_columns([names.get(c, c) for c in t.column_names])
 
 
 def _run_starts_mask_arrow(t, keys: list[str]) -> np.ndarray:
@@ -324,3 +330,122 @@ def _distinct_native(ds, keys: list[str]):
 
     pre = ds.map_batches(dedup, batch_format="pyarrow", batch_size=65536)
     return _window_by_key_arrow(pre, keys, keys, dedup, precombine=dedup)
+
+
+#: the one broadcast bound of :func:`key_join`, in bytes of the
+#: collected right side. Below it the right side rides the object
+#: store once and no exchange runs; it also bounds the per-block hash
+#: build of ``index_in`` (8M int64 keys at the bound).
+_BROADCAST_MAX_BYTES = 64 * 1024 * 1024
+
+_JOIN_TYPES = ("inner", "left_semi", "left_anti")
+
+
+def _join_partitions() -> int:
+    """Hash-join partition count sized to the session: one per CPU,
+    capped so that TWO concurrent joins' aggregators fit the cluster's
+    logical ``memory`` (chained joins, as in stages/compare.py and
+    stages/text_dedup.py, run their aggregator pools at the same time).
+    Ray 2.49 starts one aggregator per partition and asks each for
+    7 × ``target_max_block_size`` of ``memory`` (896 MiB at the
+    default), so a fixed 16 partitions asks ~14 GiB and waits forever
+    on a 15 GB host."""
+    res = ray.cluster_resources() if ray.is_initialized() else {}
+    n = max(1, int(res.get("CPU", 1)))
+    block = ray.data.DataContext.get_current().target_max_block_size
+    if block and "memory" in res:
+        n = min(n, int(res["memory"] // (2 * 7 * block)))
+    return max(1, n)
+
+
+def _broadcast_side(right, key: str, how: str):
+    """Collect the right side of a broadcast :func:`key_join`:
+    ``(keys, payload)`` with null keys dropped — distinct keys and no
+    payload for semi / anti, the key column and the other columns for
+    inner. ``None`` when the broadcast cannot reproduce an inner hash
+    join: the right side has no typed block (its columns are unknown)
+    or repeats a key (``index_in`` returns only the first match)."""
+    import pyarrow.compute as pc
+
+    blocks = [
+        _strip_schema_meta(b)
+        for b in ray.get(right.to_arrow_refs())
+        if b.num_columns
+    ]
+    if not blocks:
+        return None if how == "inner" else (pa.array([], pa.null()), None)
+    t = pa.concat_tables(blocks)
+    t = t.filter(pc.is_valid(t.column(key)))
+    keys = t.column(key).combine_chunks()
+    if how != "inner":
+        return pc.unique(keys), None
+    if pc.count_distinct(keys).as_py() != len(keys):
+        return None
+    return keys, t.drop_columns([key]).combine_chunks()
+
+
+def key_join(left, right, *, on: str, right_on: "str | None" = None,
+             how: str, broadcast_bytes: "int | None" = None):
+    """The engine's one keyed equi-join: ``left`` ⋈ ``right`` on
+    ``left[on] == right[right_on]``, ``how`` ∈ inner / left_semi /
+    left_anti, with ``Dataset.join``'s output — the left columns, plus
+    the right side's non-key columns for inner. Keys are one int64 or
+    string column (pack multi-column keys into one); a null key never
+    matches.
+
+    - Broadcast branch: when the caller's estimate of the right side's
+      size, ``broadcast_bytes``, fits ``_BROADCAST_MAX_BYTES``, the
+      right side is collected once and sent with ``ray.put``; each
+      left block matches with ``pyarrow.compute.index_in`` (whole
+      blocks, so its hash table is built once per block). No exchange.
+    - Hash branch: otherwise, or when the collected side cannot be
+      broadcast exactly (see ``_broadcast_side``), ``Dataset.join``
+      with ``_join_partitions()`` partitions.
+
+    Each call logs one JSON decision record (branch, estimate, bound,
+    partition count) on this module's logger at INFO."""
+    import pyarrow.compute as pc
+
+    if how not in _JOIN_TYPES:
+        raise ValueError(f"key_join: how={how!r} not in {_JOIN_TYPES}")
+    right_on = right_on or on
+    rec = {
+        "op": "key_join",
+        "how": how,
+        "on": on,
+        "broadcast_bytes": None if broadcast_bytes is None else int(broadcast_bytes),
+        "bound": _BROADCAST_MAX_BYTES,
+    }
+    side = None
+    if broadcast_bytes is not None and broadcast_bytes <= _BROADCAST_MAX_BYTES:
+        side = _broadcast_side(right, right_on, how)
+        if side is None:
+            rec["reason"] = "inner right side untyped or repeats a key"
+    if side is None:
+        n = _join_partitions()
+        _log.info(json.dumps({**rec, "branch": "hash", "num_partitions": n}))
+        return left.join(
+            right, join_type=how, num_partitions=n,
+            on=(on,), right_on=(right_on,),
+        )
+    _log.info(json.dumps({**rec, "branch": "broadcast", "num_partitions": None}))
+    ref = ray.put(side)
+
+    def probe(t: pa.Table) -> pa.Table:
+        keys, payload = ray.get(ref)
+        col = t.column(on)
+        if col.type != keys.type:
+            keys = keys.cast(col.type)
+        ix = pc.index_in(col, value_set=keys, skip_nulls=True)
+        if how == "left_anti":
+            return t.filter(pc.is_null(ix))
+        hit = pc.is_valid(ix)
+        t = t.filter(hit)
+        if how == "left_semi":
+            return t
+        rows = payload.take(ix.filter(hit))
+        for name, c in zip(rows.column_names, rows.columns):
+            t = t.append_column(name, c)
+        return t
+
+    return left.map_batches(probe, batch_format="pyarrow", batch_size=None)

@@ -24,9 +24,10 @@ reference's dependencies implement:
 
 Scale shape: images are decoded ONCE per doc (actor-pool stage,
 fixed-size letterboxed output so every pair is shape-compatible), and
-the pair table is hash-joined against the image table twice — no
-driver-side collection of payloads; the pair metric kernel is
-vectorized numpy per batch.
+the pair table is joined against the image table twice with
+``query_utils.key_join`` (the image table broadcasts while it fits the
+join bound, else two hash joins); the pair metric kernel is vectorized
+numpy per batch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import pyarrow as pa
 import ray.data
 
 from .multimodal import DecodeStage, explode_media, frame_sample, resize_letterbox
-from ..query_utils import read_parquet_clean
+from ..query_utils import key_join, read_parquet_clean
 
 # -- metric kernels (pure numpy, public formulas) -------------------------
 
@@ -121,12 +122,6 @@ def to_grayscale(img: np.ndarray) -> np.ndarray:
 
 _IMG_SCHEMA = pa.schema([("doc_id", pa.string()), ("img", pa.large_binary())])
 
-#: decoded-candidate-image count below which the pairwise compare
-#: broadcasts the image dict and skips both hash joins (≤20k × ~12 KB
-#: RGB thumbs ≈ 240 MB object-store ceiling); above it the two-join
-#: parquet-checkpoint path runs (the 10^12 shape)
-_IMGS_BROADCAST_MAX = 20_000
-
 COMPARE_SCHEMA = pa.schema(
     [
         ("doc_id_a", pa.string()),
@@ -193,8 +188,8 @@ def pairwise_image_compare(
     concurrency: "int | tuple[int, int] | None" = None,
 ) -> "ray.data.Dataset":
     """(docs, candidate pairs) → per-pair (ssim, mismatch_pct,
-    identical). Pairs hash-join the per-doc image table twice (no
-    driver collection; the image side is decoded once per doc)."""
+    identical). Pairs ``key_join`` the per-doc image table twice (the
+    image side is decoded once per doc)."""
     import ray
 
     if concurrency is None:
@@ -250,13 +245,10 @@ def pairwise_image_compare(
     _first_media_images(docs, target, concurrency).write_parquet(ckpt)
     imgs = read_parquet_clean(ckpt)
 
-    # Below the broadcast bound, skip BOTH hash joins: the decoded
-    # candidate-image table rides the object store once as a dict and
-    # each pair batch scores row-locally. Beyond saving two exchanges,
-    # this keeps tiny clusters live — at num_cpus=2 Ray's hash-shuffle
-    # aggregator actors starve the upstream read tasks and the join
-    # plan stalls (observed in the 2-CPU sweep). The join path remains
-    # the 10^12 shape; both paths are equality-pinned in pytest.
+    # Both joins size their broadcast side from the checkpoint's footers
+    # (one raw RGB thumb per decoded doc): below key_join's bound the
+    # image table rides the object store and no exchange runs; above
+    # it, two hash joins stream from the checkpoint.
     import glob as _glob
 
     import pyarrow.parquet as _pq
@@ -265,52 +257,7 @@ def pairwise_image_compare(
         _pq.read_metadata(f).num_rows
         for f in _glob.glob(f"{ckpt}/*.parquet")
     )
-    side_bc = target * target * 3
-    if n_imgs <= _IMGS_BROADCAST_MAX:
-        tbl = _pq.read_table(ckpt)
-        imap = dict(
-            zip(tbl.column(0).to_pylist(), tbl.column(1).to_pylist())
-        )
-        iref = ray.put(imap)
-
-        def compare_bc(batch: pa.Table) -> pa.Table:
-            im = ray.get(iref)
-            out = {
-                k: []
-                for k in (
-                    "doc_id_a", "doc_id_b", "ssim", "mismatch_pct",
-                    "identical",
-                )
-            }
-            for a, b in zip(
-                batch.column("doc_id_a").to_pylist(),
-                batch.column("doc_id_b").to_pylist(),
-            ):
-                ba, bb = im.get(a), im.get(b)
-                if ba is None or bb is None:  # inner-join semantics
-                    continue
-                if len(ba) != side_bc or len(bb) != side_bc:
-                    continue
-                ia = np.frombuffer(ba, dtype=np.uint8).reshape(
-                    target, target, 3
-                )
-                ib = np.frombuffer(bb, dtype=np.uint8).reshape(
-                    target, target, 3
-                )
-                s = ssim(to_grayscale(ia), to_grayscale(ib))
-                mm = pixel_mismatch_count(ia, ib, pixel_threshold)
-                out["doc_id_a"].append(a)
-                out["doc_id_b"].append(b)
-                out["ssim"].append(round(s, 6))
-                out["mismatch_pct"].append(
-                    round(100.0 * mm / (target * target), 4)
-                )
-                out["identical"].append(mm == 0)
-            return pa.Table.from_pydict(out, schema=COMPARE_SCHEMA)
-
-        return pairs.select_columns(["doc_id_a", "doc_id_b"]).map_batches(
-            compare_bc, batch_format="pyarrow"
-        )
+    side = target * target * 3
 
     def rename_a(t: pa.Table) -> pa.Table:
         return t.rename_columns(["id_a", "img_a"])
@@ -318,23 +265,17 @@ def pairwise_image_compare(
     def rename_b(t: pa.Table) -> pa.Table:
         return t.rename_columns(["id_b", "img_b"])
 
-    pair_keys = pairs.select_columns(["doc_id_a", "doc_id_b"])
-    ja = pair_keys.join(
+    ja = key_join(
+        pairs.select_columns(["doc_id_a", "doc_id_b"]),
         imgs.map_batches(rename_a, batch_format="pyarrow"),
-        join_type="inner",
-        num_partitions=8,
-        on=("doc_id_a",),
-        right_on=("id_a",),
+        on="doc_id_a", right_on="id_a", how="inner",
+        broadcast_bytes=n_imgs * side,
     )
-    jb = ja.join(
-        imgs.map_batches(rename_b, batch_format="pyarrow"),
-        join_type="inner",
-        num_partitions=8,
-        on=("doc_id_b",),
-        right_on=("id_b",),
+    jb = key_join(
+        ja, imgs.map_batches(rename_b, batch_format="pyarrow"),
+        on="doc_id_b", right_on="id_b", how="inner",
+        broadcast_bytes=n_imgs * side,
     )
-
-    side = target * target * 3
 
     def compare(batch: pa.Table) -> pa.Table:
         out = {k: [] for k in ("doc_id_a", "doc_id_b", "ssim", "mismatch_pct", "identical")}

@@ -88,7 +88,6 @@ def decontaminate(
     probe_hashes: np.ndarray,
     n: int = 3,
     mode: str = "auto",
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """docs(doc_id:int64, text) → (doc_id, n_matched, contaminated):
     per doc, how many of its DISTINCT word n-grams appear in the probe
@@ -124,7 +123,7 @@ def decontaminate(
         return docs.map_batches(flag, batch_format="pyarrow")
 
     # join path: per-doc-distinct gram rows ⋈ probe gram table
-    from ..query_utils import _window_by_key_arrow
+    from ..query_utils import _window_by_key_arrow, key_join
 
     def explode(batch: pa.Table) -> pa.Table:
         out_id: list = []
@@ -144,9 +143,7 @@ def decontaminate(
     probe_ds = ray.data.from_arrow(
         pa.table({"gram": pa.array(probe_sorted, pa.uint64())})
     )
-    hit = grams.join(
-        probe_ds, join_type="inner", num_partitions=num_partitions, on=("gram",)
-    )
+    hit = key_join(grams, probe_ds, on="gram", how="inner")
 
     def partial(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -178,11 +175,10 @@ def decontaminate(
         merge,
     )
 
-    clean = docs.select_columns(["doc_id"]).join(
+    clean = key_join(
+        docs.select_columns(["doc_id"]),
         matched.select_columns(["doc_id"]),
-        join_type="left_anti",
-        num_partitions=num_partitions,
-        on=("doc_id",),
+        on="doc_id", how="left_anti",
     )
 
     def zero(df: pd.DataFrame) -> pd.DataFrame:

@@ -26,6 +26,8 @@ import pyarrow as pa
 
 import ray.data
 
+from ..query_utils import _rename, key_join
+
 RANK_DECIMALS = 8
 
 
@@ -75,7 +77,6 @@ def pagerank(
     edges: "ray.data.Dataset",
     damping: float = 0.85,
     iters: int = 3,
-    num_partitions: int = 16,
     mode: str = "auto",
 ) -> "ray.data.Dataset":
     """``(src, dst)`` DIRECTED edge dataset (pass both directions for
@@ -128,15 +129,10 @@ def pagerank(
     ranks = deg.map_batches(init_ranks, batch_format="pyarrow")
 
     # weight each edge once: pay the edges ⋈ degree join a single time
-    edges_w = edges.join(
-        deg, join_type="inner", num_partitions=num_partitions, on=("src",)
-    ).materialize()
+    edges_w = key_join(edges, deg, on="src", how="inner").materialize()
 
     for _ in range(iters):
-        contrib_in = edges_w.join(
-            ranks, join_type="inner", num_partitions=num_partitions,
-            on=("src",), right_on=("v",),
-        )
+        contrib_in = key_join(edges_w, ranks, on="src", right_on="v", how="inner")
 
         def share(t: pa.Table) -> pa.Table:
             r = t.column("r").to_numpy(zero_copy_only=False)
@@ -179,7 +175,7 @@ def _degrees_driver(edges) -> tuple[np.ndarray, np.ndarray]:
 
     def partial(t: pa.Table) -> pa.Table:
         agg = t.select(["src"]).group_by(["src"]).aggregate([("src", "count")])
-        return agg.rename_columns(["src", "n"])
+        return _rename(agg, {"src_count": "n"})
 
     ids_chunks, cnt_chunks = [], []
     for b in edges.map_batches(
@@ -229,7 +225,7 @@ def _pagerank_broadcast(
                 [t.column("dst"), pa.array(shares)], names=["dst", "share"]
             )
             agg = tbl.group_by(["dst"]).aggregate([("share", "sum")])
-            return agg.rename_columns(["dst", "share"])
+            return _rename(agg, {"share_sum": "share"})
 
         contrib = np.zeros(n_nodes, dtype=np.float64)
         for b in edges.map_batches(
@@ -277,7 +273,7 @@ def pagerank_undirected_pairs(
             pa.Table.from_arrays([both], names=["src"])
             .group_by(["src"]).aggregate([("src", "count")])
         )
-        return agg.rename_columns(["src", "n"])
+        return _rename(agg, {"src_count": "n"})
 
     ids_chunks, cnt_chunks = [], []
     for b in pairs.map_batches(
@@ -317,7 +313,7 @@ def pagerank_undirected_pairs(
                 [pa.array(dst), pa.array(shares)], names=["dst", "share"]
             )
             agg = tbl.group_by(["dst"]).aggregate([("share", "sum")])
-            return agg.rename_columns(["dst", "share"])
+            return _rename(agg, {"share_sum": "share"})
 
         contrib = np.zeros(n_nodes, dtype=np.float64)
         for b in pairs.map_batches(

@@ -261,14 +261,9 @@ def _verify_pairs_exact(
 
         return ray.data.from_pandas(pair_df).map_batches(verify, batch_format="pandas")
 
-    # -- join path: dedup pairs natively, then two hash joins ------------
-    # Join parallelism adapts to the cluster: each hash-join operator
-    # holds num_partitions build shards, and TWO chained joins with
-    # more total demand than the CPU count deadlock the streaming
-    # executor on small clusters (measured at 4 CPUs with 16+16).
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    n_part = max(2, min(16, cpus // 2))
-    from ..query_utils import _distinct_native
+    # -- join path: dedup pairs natively, then two chained hash joins
+    # (key_join sizes their partitions so both fit the cluster) ---------
+    from ..query_utils import _distinct_native, key_join
 
     deduped = _distinct_native(pairs, ["doc_id_a", "doc_id_b"])
 
@@ -278,19 +273,13 @@ def _verify_pairs_exact(
     def rename_b(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"id_b": df["doc_id"], "text_b": df["text"]})
 
-    ja = deduped.join(
-        docs.map_batches(rename_a, batch_format="pandas"),
-        join_type="inner",
-        num_partitions=n_part,
-        on=("doc_id_a",),
-        right_on=("id_a",),
+    ja = key_join(
+        deduped, docs.map_batches(rename_a, batch_format="pandas"),
+        on="doc_id_a", right_on="id_a", how="inner",
     )
-    jb = ja.join(
-        docs.map_batches(rename_b, batch_format="pandas"),
-        join_type="inner",
-        num_partitions=n_part,
-        on=("doc_id_b",),
-        right_on=("id_b",),
+    jb = key_join(
+        ja, docs.map_batches(rename_b, batch_format="pandas"),
+        on="doc_id_b", right_on="id_b", how="inner",
     )
 
     def verify_joined(df: pd.DataFrame) -> pd.DataFrame:

@@ -5,14 +5,16 @@ primitives:
     read (pruned)
       → per-batch (doc_id, term, tf) rollup        map_batches, combiner
       → document frequency per term                two-level aggregation
-      → idf join back onto the tf rows             Dataset hash join
+      → idf join back onto the tf rows             key_join (broadcast
+                                                   or hash, by size)
       → per-doc top-k                              ONE sort + run-scan
                                                    rank (_window_by_key_arrow)
 
 Both the term-df aggregation and the per-doc rank run with no per-key
 Python dispatch; term cardinality and doc cardinality both scale with
-the corpus. The df table is joined (not broadcast): at web scale the
-vocabulary is O(100M) terms and does not fit a broadcast side.
+the corpus. The idf table broadcasts only while its measured size fits
+``key_join``'s bound: at web scale the vocabulary is O(100M) terms and
+takes the hash join.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ import pyarrow as pa
 
 import ray.data
 
-from ..query_utils import _run_starts_mask_arrow, _window_by_key_arrow
+from ..query_utils import (
+    _rename,
+    _run_starts_mask_arrow,
+    _window_by_key_arrow,
+    key_join,
+)
 
 
 _TF_SCHEMA = pa.schema(
@@ -60,19 +67,11 @@ def _tf_rows(t: pa.Table) -> pa.Table:
     if pairs.num_rows == 0:
         return _TF_SCHEMA.empty_table()
     agg = pairs.group_by(["doc_id", "term"]).aggregate([("term", "count")])
-    return agg.rename_columns(["doc_id", "term", "tf"]).cast(_TF_SCHEMA)
-
-
-#: vocab size below which the idf table broadcasts instead of joining
-#: (~tens of MB in the object store; a web-scale 10^8-term vocabulary
-#: stays on the join path).
-_IDF_BROADCAST_MAX = 2_000_000
+    return _rename(agg, {"term_count": "tf"}).select(_TF_SCHEMA.names).cast(_TF_SCHEMA)
 
 
 def tfidf_top_terms(
-    docs: "ray.data.Dataset", n_docs: int, k: int = 3,
-    num_partitions: int = 8,
-    mode: str = "auto",
+    docs: "ray.data.Dataset", n_docs: int, k: int = 3
 ) -> "ray.data.Dataset":
     """docs(doc_id:int64, text) → (doc_id, term, tfidf, term_rank ≤ k).
 
@@ -80,15 +79,12 @@ def tfidf_top_terms(
     ``n_docs`` comes from parquet footer metadata at the caller — no
     count pass.
 
-    ``mode``: how the idf table attaches to the tf rows —
-    ``broadcast`` (idf rides the object store once, per-batch pandas
-    hash-merge; every tf term exists in idf by construction so the
-    lookup is total), ``join`` (distributed hash join — the 10^8-term
-    web-vocabulary path), or ``auto`` (broadcast while the MEASURED
-    vocab size fits ``_IDF_BROADCAST_MAX``; the count is free because
-    the idf table is already materialized by its sort+run-scan merge).
-    Both modes are equality-pinned in tests/test_tfidf.py. Measured at
-    sf0.1/32 CPUs: the join pays ~2.8 s of remote wall in fixed
+    The idf table attaches to the tf rows with one ``key_join`` sized
+    by the idf table's MEASURED bytes (it is materialized anyway):
+    a bounded vocabulary broadcasts (every tf term exists in idf by
+    construction, so the lookup is total), a web-scale one hash-joins.
+    Both branches are equality-pinned in tests/test_tfidf.py. Measured
+    at sf0.1/32 CPUs: the join pays ~2.8 s of remote wall in fixed
     per-partition cost on a tiny vocab; much of it overlaps other
     stages, so end-to-end the broadcast path is ~15-20% faster warm
     (2.9-3.2 s vs 3.5-5 s) — the structural win is removing a
@@ -104,7 +100,7 @@ def tfidf_top_terms(
         # re-attach the b'pandas' schema blob at the pandas→arrow
         # conversion and defeat the downstream sort's schema dedup
         g = t.select(["term"]).group_by(["term"]).aggregate([([], "count_all")])
-        return g.rename_columns(["term", "df"])
+        return _rename(g, {"count_all": "df"}).select(["term", "df"])
 
     part = tf.map_batches(df_partial, batch_format="pyarrow", batch_size=65536)
 
@@ -122,10 +118,7 @@ def tfidf_top_terms(
             names=["term", "idf"],
         )
 
-    idf = _window_by_key_arrow(part, ["term"], ["term"], df_merge)
-
-    if mode == "auto":
-        mode = "broadcast" if idf.count() <= _IDF_BROADCAST_MAX else "join"
+    idf = _window_by_key_arrow(part, ["term"], ["term"], df_merge).materialize()
 
     def score(d: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -136,20 +129,9 @@ def tfidf_top_terms(
             }
         )
 
-    if mode == "broadcast":
-        import ray
-
-        ref = ray.put(idf.to_pandas())
-
-        def score_bc(d: pd.DataFrame) -> pd.DataFrame:
-            return score(d.merge(ray.get(ref), on="term", how="inner"))
-
-        scored = tf.map_batches(score_bc, batch_format="pandas")
-    else:
-        scored = tf.join(
-            idf, join_type="inner", num_partitions=num_partitions,
-            on=("term",),
-        ).map_batches(score, batch_format="pandas")
+    scored = key_join(
+        tf, idf, on="term", how="inner", broadcast_bytes=idf.size_bytes()
+    ).map_batches(score, batch_format="pandas")
 
     def rank_fn(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

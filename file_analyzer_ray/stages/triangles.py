@@ -38,7 +38,8 @@ read it three times instead):
 4. wedges: ONE sort by (src, deg_dst, dst) → per-run out-neighbor
    pair emission (run-length-grouped ``np.triu_indices`` gather — no
    Python loop over rows)
-5. match: hash-join wedges ⋈ oriented edges on (v, w) → triangles
+5. match: ``query_utils.key_join`` left_semi of the wedges onto the
+   oriented edges, (v, w) packed into one int64 key → triangles
 6. per-node counts: per-batch unique-count partials over the three
    corners → sort + run-sum merge
 
@@ -58,16 +59,13 @@ from ..query_utils import (
     _distinct_native,
     _run_starts_mask_arrow,
     _window_by_key_arrow,
+    key_join,
 )
 
 #: above this id-space size the degree attach switches from an
-#: object-store broadcast (~16 bytes/node) to two hash joins
+#: object-store broadcast (~16 bytes/node) to the zero-join two-sort
+#: pass (``_orient_distributed``)
 BROADCAST_NODES_MAX = 2_000_000
-
-#: oriented-edge count below which wedge closure broadcasts the packed
-#: edge-key array (≤2M × 8 B = 16 MB) instead of a wedge ⋈ edge hash
-#: join — see triangle_counts
-_EDGES_BROADCAST_MAX = 2_000_000
 
 #: transient-peak bound for one length-group gather during pair
 #: emission (rows × C(L,2) index matrices are sliced to ≤ this many
@@ -287,11 +285,8 @@ _SIDED_SCHEMA = pa.schema(
 
 
 def _orient_distributed(edges) -> "ray.data.Dataset":
-    """Unbounded-node-space orient: ZERO hash joins. Two chained
-    degree-attach joins deadlock a small cluster (each Ray hash-join
-    spawns its own CPU-reserving aggregator-actor pool; two concurrent
-    pools in one streaming plan starve each other — observed on 4
-    CPUs), and at any scale they are two full exchanges. Instead:
+    """Unbounded-node-space orient: ZERO joins. Two chained
+    degree-attach joins would be two full exchanges. Instead:
     double every distinct edge into one row per endpoint and sort by
     endpoint — the RUN LENGTH under an endpoint IS its degree (edges
     are distinct), so the degree table never exists; then one more
@@ -376,7 +371,7 @@ def triangle_counts(
     Raises ``ValueError`` when the m^1.5 wedge bound of the (post-
     sparsifier) edge table exceeds ``wedge_bound`` — see WEDGE_BOUND."""
     # _compact: edges built via _distinct_native carry sort-produced
-    # schema-less empty blocks that would poison the join path below
+    # schema-less empty blocks that would poison the hash join below
     edges = _compact(edges).materialize()  # reused by 3 passes (PageRank shape)
     n_edges = edges.count()  # materialized: metadata-cheap
     est_wedges = int(n_edges**1.5)
@@ -440,69 +435,24 @@ def triangle_counts(
             names=["node", "n_triangles"],
         )
 
-    if n_edges <= _EDGES_BROADCAST_MAX:
-        # Broadcast closure check: the support-thresholded oriented
-        # edge set packs to one sorted int64 key array (ids < 2³¹) in
-        # the object store; each wedge batch closes row-locally via
-        # searchsorted — NO hash join, which both saves the exchange
-        # and keeps 2-CPU clusters live (Ray's join aggregators starve
-        # the upstream tasks there; observed in the num_cpus=2 sweep).
-        # Above the bound the wedge ⋈ edge hash join runs (the 10^12
-        # shape); both paths equality-pinned in pytest.
-        def pack(t: pa.Table) -> pa.Table:
-            k = _np_col(t, "src") * (1 << 32) + _np_col(t, "dst")
-            return pa.Table.from_arrays([pa.array(k, pa.int64())], ["k"])
-
-        keys = np.sort(
-            np.fromiter(
-                (
-                    r["k"]
-                    for r in oriented.map_batches(
-                        pack, batch_format="pyarrow"
-                    ).take_all()
-                ),
-                dtype=np.int64,
-            )
+    # Closure check: a wedge (a, b) closes iff (a, b) is an oriented
+    # edge. Both sides pack (src, dst) into one int64 key (ids < 2³¹);
+    # the oriented edges are distinct, so the semi join keeps each
+    # closing wedge once. 8 bytes per edge: below key_join's bound the
+    # packed edge keys broadcast and no exchange runs.
+    def pack_wedge(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "k", pa.array(_np_col(t, "a") * (1 << 32) + _np_col(t, "b"), pa.int64())
         )
-        kref = ray.put(keys)
 
-        def closed_partial(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return _COUNT_SCHEMA.empty_table()
-            kk = ray.get(kref)
-            a, b, wit = (_np_col(t, c) for c in ("a", "b", "wit"))
-            if len(kk) == 0:
-                return _COUNT_SCHEMA.empty_table()
-            probe = a * (1 << 32) + b
-            ix = np.searchsorted(kk, probe)
-            ix[ix >= len(kk)] = 0
-            hit = kk[ix] == probe
-            if not hit.any():
-                return _COUNT_SCHEMA.empty_table()
-            corners = np.concatenate([a[hit], b[hit], wit[hit]])
-            un, cnt = np.unique(corners, return_counts=True)
-            return pa.Table.from_arrays(
-                [
-                    pa.array(un, pa.int64()),
-                    pa.array(cnt.astype(np.int64), pa.int64()),
-                ],
-                names=["node", "n_triangles"],
-            )
+    def pack_edge(t: pa.Table) -> pa.Table:
+        k = _np_col(t, "src") * (1 << 32) + _np_col(t, "dst")
+        return pa.Table.from_arrays([pa.array(k, pa.int64())], ["k"])
 
-        part = wedges.map_batches(
-            closed_partial, batch_format="pyarrow", batch_size=65536
-        )
-        return _sum_by_node(part, "n_triangles")
-
-    def ren_edge(t: pa.Table) -> pa.Table:
-        return t.select(["src", "dst"]).rename_columns(["ja", "jb"])
-
-    tri = wedges.join(
-        oriented.map_batches(ren_edge, batch_format="pyarrow"),
-        join_type="inner",
-        num_partitions=16,
-        on=("a", "b"),
-        right_on=("ja", "jb"),
+    tri = key_join(
+        wedges.map_batches(pack_wedge, batch_format="pyarrow"),
+        oriented.map_batches(pack_edge, batch_format="pyarrow"),
+        on="k", how="left_semi", broadcast_bytes=8 * n_edges,
     )
 
     part = tri.map_batches(tri_partial, batch_format="pyarrow", batch_size=65536)

@@ -1047,7 +1047,7 @@ def test_pagerank_modes_match_serial(ray_session):
     for mode in ("broadcast", "join"):
         got = sorted(
             (r["v"], r["pagerank"])
-            for r in pagerank(ds, iters=3, num_partitions=4, mode=mode).take_all()
+            for r in pagerank(ds, iters=3, mode=mode).take_all()
         )
         assert got == exp, mode
     assert abs(sum(v for _, v in exp) - 1.0) < 1e-6  # mass conserved

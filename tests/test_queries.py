@@ -339,18 +339,15 @@ def test_sq8_layout_knn(registry, tmp_path):
             assert s == sim_of[v]  # rerank restored the exact score
 
 
-def test_shipping_priority_both_paths_equal(registry):
-    """The broadcast segment filter and the left_semi join fallback
-    must produce identical top-10 rows."""
+def test_shipping_priority_both_paths_equal(registry, monkeypatch):
+    """The broadcast joins and the two chained hash joins must produce
+    identical top-10 rows."""
     import file_analyzer_ray.queries_joins as qj
+    import file_analyzer_ray.query_utils as qu
 
     bc = _to_pandas(qj.q_orders_shipping_priority(SF_DIR)).reset_index(drop=True)
-    old = qj._SEGMENT_BROADCAST_MAX
-    try:
-        qj._SEGMENT_BROADCAST_MAX = 0
-        sj = _to_pandas(qj.q_orders_shipping_priority(SF_DIR)).reset_index(drop=True)
-    finally:
-        qj._SEGMENT_BROADCAST_MAX = old
+    monkeypatch.setattr(qu, "_BROADCAST_MAX_BYTES", 0)
+    sj = _to_pandas(qj.q_orders_shipping_priority(SF_DIR)).reset_index(drop=True)
     pd.testing.assert_frame_equal(bc, sj)
 
 
@@ -389,12 +386,10 @@ def test_jl_projection_preserves_norms(registry):
     assert 0.8 < ratio < 1.2, ratio
 
 
-def test_key_broadcast_joins_equal_hash_join_path(registry):
+def test_key_broadcast_joins_equal_hash_join_path(registry, monkeypatch):
     """The key-broadcast join paths (anti / semi / pre-aggregated
-    inner) must produce exactly what the Dataset.join fallback does;
-    the broadcast path also keeps a 2-CPU cluster live, where Ray's
-    hash-shuffle aggregators starve the read tasks."""
-    import file_analyzer_ray.queries_joins as qj
+    inner) must produce exactly what the Dataset.join fallback does."""
+    import file_analyzer_ray.query_utils as qu
 
     from file_analyzer_ray.queries import RETIRED_QUERIES
 
@@ -407,33 +402,22 @@ def test_key_broadcast_joins_equal_hash_join_path(registry):
     queries, _ = registry
     queries = {**RETIRED_QUERIES, **queries}
     bc = {n: _normalize(_to_pandas(queries[n](SF_DIR))) for n in names}
-    old = qj._KEYS_BROADCAST_MAX
-    try:
-        qj._KEYS_BROADCAST_MAX = 0  # force the Dataset.join path
-        for n in names:
-            pd.testing.assert_frame_equal(
-                bc[n], _normalize(_to_pandas(queries[n](SF_DIR)))
-            )
-    finally:
-        qj._KEYS_BROADCAST_MAX = old
+    monkeypatch.setattr(qu, "_BROADCAST_MAX_BYTES", 0)  # force Dataset.join
+    for n in names:
+        pd.testing.assert_frame_equal(
+            bc[n], _normalize(_to_pandas(queries[n](SF_DIR)))
+        )
 
 
-def test_pairwise_compare_broadcast_equals_join_path(registry):
-    """The image-dict broadcast path (skips both hash joins; keeps a
-    2-CPU cluster live) must equal the parquet-checkpoint two-join
-    path exactly."""
-    import file_analyzer_ray.stages.compare as cmp
+def test_pairwise_compare_broadcast_equals_join_path(registry, monkeypatch):
+    """The image-table broadcast (no exchange) must equal the
+    parquet-checkpoint two-hash-join path exactly."""
+    import file_analyzer_ray.query_utils as qu
 
     queries, _ = registry
     bc = _normalize(_to_pandas(queries["extract_pairwise_compare"](SF_DIR)))
-    old = cmp._IMGS_BROADCAST_MAX
-    try:
-        cmp._IMGS_BROADCAST_MAX = 0  # force the two-join path
-        jp = _normalize(
-            _to_pandas(queries["extract_pairwise_compare"](SF_DIR))
-        )
-    finally:
-        cmp._IMGS_BROADCAST_MAX = old
+    monkeypatch.setattr(qu, "_BROADCAST_MAX_BYTES", 0)  # force the two joins
+    jp = _normalize(_to_pandas(queries["extract_pairwise_compare"](SF_DIR)))
     pd.testing.assert_frame_equal(bc, jp)
 
 

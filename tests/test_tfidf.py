@@ -46,7 +46,7 @@ def test_tfidf_matches_duckdb_oracle(ray_session):
         override_num_blocks=4,
     )
     got = (
-        tfidf_top_terms(docs, n_docs=n_docs, k=3, num_partitions=2)
+        tfidf_top_terms(docs, n_docs=n_docs, k=3)
         .to_pandas()
         .sort_values(["doc_id", "term_rank"])
         .reset_index(drop=True)
@@ -68,28 +68,30 @@ def test_tfidf_matches_duckdb_oracle(ray_session):
     )
 
 
-def test_tfidf_broadcast_equals_join(ray_session):
-    """The idf-broadcast path (auto default at bounded vocab) and the
+def test_tfidf_broadcast_equals_join(ray_session, monkeypatch):
+    """The idf-broadcast path (the default at bounded vocab) and the
     distributed-join path must emit identical rows."""
     import pyarrow.parquet as pq
 
     import ray.data
 
+    import file_analyzer_ray.query_utils as qu
     from file_analyzer_ray.stages.tfidf import tfidf_top_terms
 
     n_docs = pq.read_metadata(f"{SF}/documents.parquet").num_rows
 
-    def run(mode):
+    def run():
         docs = ray.data.read_parquet(
             f"{SF}/documents.parquet", columns=["doc_id", "text"],
             override_num_blocks=4,
         )
         return (
-            tfidf_top_terms(docs, n_docs=n_docs, k=3, num_partitions=2,
-                            mode=mode)
+            tfidf_top_terms(docs, n_docs=n_docs, k=3)
             .to_pandas()
             .sort_values(["doc_id", "term_rank"])
             .reset_index(drop=True)
         )
 
-    pd.testing.assert_frame_equal(run("broadcast"), run("join"))
+    bc = run()
+    monkeypatch.setattr(qu, "_BROADCAST_MAX_BYTES", 0)
+    pd.testing.assert_frame_equal(bc, run())

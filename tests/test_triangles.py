@@ -77,10 +77,10 @@ def test_triangles_random_graph_both_paths_equal(ray_session):
     assert dict(zip(bc["node"], bc["n_triangles"])) == exp
 
 
-def test_triangles_closure_join_path_equals_broadcast(ray_session):
+def test_triangles_closure_join_path_equals_broadcast(ray_session, monkeypatch):
     """Force the wedge ⋈ edge hash-join closure (the 10^12 path) and
     pin it to the packed-key broadcast closure + brute force."""
-    import file_analyzer_ray.stages.triangles as tr
+    import file_analyzer_ray.query_utils as qu
 
     rng = np.random.default_rng(11)
     n = 40
@@ -93,12 +93,8 @@ def test_triangles_closure_join_path_equals_broadcast(ray_session):
         [{"u": u, "v": v} for u, v in sorted(edges)]
     ).repartition(4)
     bc = _counts_df(triangle_counts(e, n_nodes_hint=n))
-    old = tr._EDGES_BROADCAST_MAX
-    try:
-        tr._EDGES_BROADCAST_MAX = 0
-        jn = _counts_df(triangle_counts(e, n_nodes_hint=n))
-    finally:
-        tr._EDGES_BROADCAST_MAX = old
+    monkeypatch.setattr(qu, "_BROADCAST_MAX_BYTES", 0)
+    jn = _counts_df(triangle_counts(e, n_nodes_hint=n))
     pd.testing.assert_frame_equal(bc, jn)
     assert dict(zip(bc["node"], bc["n_triangles"])) == _brute_counts(edges)
 
