@@ -6,7 +6,7 @@ Shape (one streaming plan, no disk IR between stages, no full
 materialization):
 
     read_parquet(docs)
-      -> map_batches(ExtractStage(score=True), concurrency=(8,N))
+      -> query_utils.actor_map(ExtractStage, score=True)
             # ONE fused actor pool: normalize+sniff+meta+OCR+carve+
             # match + deterministic mock-VLM scoring with the JSON
             # parse/repair chain; automata compiled in __init__,
@@ -25,11 +25,8 @@ from __future__ import annotations
 
 import os
 
-import ray
-import ray.data
-
 from ..corpus import generate_parquet
-from ..query_utils import read_parquet_clean
+from ..query_utils import actor_map, read_parquet_clean
 from ..stages.extract import ExtractStage
 
 _CORPUS_CACHE_ROOT = "/tmp/fa_ray_corpus"
@@ -54,42 +51,22 @@ def corpus_path(n_docs: int) -> str:
     return path
 
 
-def _default_concurrency() -> int:
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, cpus - 2)  # leave headroom for read/write stages
-
-
 def extract_pipeline(
     source: "str | ray.data.Dataset",
     *,
     score: bool = True,
-    concurrency: int | None = None,
     batch_size: int = 256,
 ) -> "ray.data.Dataset":
     """Lazy Dataset of extracted (+ scored) documents."""
     ds = read_parquet_clean(source) if isinstance(source, str) else source
-    n = concurrency or _default_concurrency()
     # Extraction + scoring run FUSED in one actor pool: the scorer
     # consumes the span lists the extractor just built, so a second
     # actor pool would only add an object-store round trip of the heavy
     # spans column (measured ~2x wall at 100k docs). ScorerStage remains
     # available as a standalone stage for pipelines that score
     # pre-extracted tables.
-    # Pool minimum must leave at least one CPU for upstream ops: when a
-    # source stage prevents read->pool fusion, a minimum that pins every
-    # core starves ReadParquet and the plan deadlocks (seen at
-    # num_cpus=4 with min=4).
-    cpus = int(ray.cluster_resources().get("CPU", n)) if ray.is_initialized() else n
-    lo = max(1, min(8, n, cpus - 1))
-    return ds.map_batches(
-        ExtractStage,
-        fn_constructor_kwargs={"score": score},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        # min ramps the pool immediately on a busy cluster; max n
-        # leaves headroom for the read and sink stages.
-        concurrency=(lo, n),
-        num_cpus=1,
+    return actor_map(
+        ds, ExtractStage, ctor_kwargs={"score": score}, batch_size=batch_size
     )
 
 
@@ -98,7 +75,6 @@ def run_flagship(
     out_dir: str | None = None,
     *,
     score: bool = True,
-    concurrency: int | None = None,
     num_partitions: int = 32,
 ) -> dict:
     """Generate-or-reuse the deterministic corpus, run the flagship plan,
@@ -106,7 +82,7 @@ def run_flagship(
     from ..state.lineage import write_partitioned
 
     src = corpus_path(n_docs)
-    ds = extract_pipeline(src, score=score, concurrency=concurrency)
+    ds = extract_pipeline(src, score=score)
     if out_dir is None:
         rows = ds.count()
         return {"n_docs": n_docs, "rows": rows, "out_dir": None}

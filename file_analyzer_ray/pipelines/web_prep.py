@@ -22,7 +22,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..query_utils import _window_by_key_arrow, _run_starts_mask_arrow
+from ..query_utils import _run_starts_mask_arrow, _window_by_key_arrow, actor_map
 
 
 def web_prep_pipeline(
@@ -73,9 +73,7 @@ def web_prep_pipeline(
             keep = scored.column("keep").to_numpy(zero_copy_only=False)
             return t.filter(pa.array(keep))
 
-    quality = gated.map_batches(
-        Gate, batch_format="pyarrow", concurrency=(1, 8), num_cpus=1
-    )
+    quality = actor_map(gated, Gate)
 
     # 4. exact dedup on the normalized MAIN text: one sort, keep-first
     def fp(t: pa.Table) -> pa.Table:

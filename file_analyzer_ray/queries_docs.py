@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, read_parquet_clean)
+                          _read_coalesced, actor_map, read_parquet_clean)
 
 from .queries_embeddings import q_embeddings_knn  # noqa: F401  (hybrid search fuses both)
 
@@ -465,7 +465,7 @@ def q_docs_signature_scan(sf_dir: str):
             out["n_total"] = total
             return pd.DataFrame(out)
 
-    return ds.map_batches(Scanner, batch_format="pandas", concurrency=2)
+    return actor_map(ds, Scanner, batch_format="pandas")
 
 SQL_DOCS_SIGNATURE_SCAN = """
 SELECT doc_id,

@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, read_parquet_clean)
+                          _read_coalesced, _rename, read_parquet_clean)
 
 
 def q_embeddings_gram(sf_dir: str):
@@ -64,7 +64,7 @@ def q_embeddings_gram(sf_dir: str):
 
     def refold(t: pa.Table) -> pa.Table:
         g = t.group_by(["i", "j"]).aggregate([("g", "sum")])
-        return g.rename_columns(["i", "j", "g"])
+        return _rename(g, {"g_sum": "g"})
 
     part = ds.map_batches(
         fold, batch_format="pyarrow", batch_size=65536

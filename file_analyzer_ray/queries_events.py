@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, read_parquet_clean)
+                          _read_coalesced, _rename, read_parquet_clean)
 
 
 def q_events_type_stats(sf_dir: str):
@@ -696,7 +696,7 @@ def q_events_markov(sf_dir: str):
 
     def _counts(pt: pa.Table) -> pa.Table:
         g = pt.group_by(["from_type", "to_type"]).aggregate([("n", "sum")])
-        return g.rename_columns(["from_type", "to_type", "n"])
+        return _rename(g, {"n_sum": "n"})
 
     def transitions(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -794,11 +794,11 @@ def q_events_rolling_active_users(sf_dir: str):
 
     def counts(t: pa.Table) -> pa.Table:
         g = t.group_by(["hour"]).aggregate([("user_id", "count")])
-        return g.rename_columns(["hour", "users_24h"])
+        return _rename(g, {"user_id_count": "users_24h"})
 
     def recount(t: pa.Table) -> pa.Table:
         g = t.group_by(["hour"]).aggregate([("users_24h", "sum")])
-        return g.rename_columns(["hour", "users_24h"])
+        return _rename(g, {"users_24h_sum": "users_24h"})
 
     part = served.map_batches(
         counts, batch_format="pyarrow", batch_size=65536
@@ -1575,7 +1575,7 @@ def q_events_user_gini(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by(["user_id"]).aggregate([([], "count_all")])
-        return g.rename_columns(["user_id", "n"])
+        return _rename(g, {"count_all": "n"})
 
     def merge(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

@@ -40,7 +40,7 @@ def q_media_features(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id"]).map_batches(
         wrap_documents_media, batch_format="pyarrow"
     )
-    fused = fused_media_features(docs, concurrency=(1, 4))
+    fused = fused_media_features(docs)
 
     def proj(t: pa.Table) -> pa.Table:
         d = pc.cast(t.column("doc_id"), pa.int64()).to_numpy(zero_copy_only=False)
@@ -157,7 +157,7 @@ def q_extract_spans(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         wrap_documents_docs, batch_format="pyarrow"
     )
-    ext = extract_pipeline(ds, score=False, concurrency=4, batch_size=128)
+    ext = extract_pipeline(ds, score=False, batch_size=128)
     return ext.map_batches(_explode_out_spans, batch_format="pyarrow")
 
 def q_extract_spans_corpus(sf_dir: str):
@@ -191,7 +191,7 @@ def q_extract_dedup_clusters(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id"]).map_batches(
         wrap_documents_clone_docs, batch_format="pyarrow"
     )
-    ext = extract_pipeline(ds, score=False, concurrency=4, batch_size=128)
+    ext = extract_pipeline(ds, score=False, batch_size=128)
     clusters = exact_dedup_clusters(
         ext, input_rows=_meta_rows(sf_dir, "documents")
     )

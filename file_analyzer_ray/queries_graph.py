@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, read_parquet_clean)
+                          _read_coalesced, _rename, read_parquet_clean)
 
 
 def q_graph_pagerank(sf_dir: str):
@@ -140,7 +140,7 @@ def q_graph_components(sf_dir: str):
 
     def partial_sizes(t: pa.Table) -> pa.Table:
         g = t.group_by(["label"]).aggregate([([], "count_all")])
-        return g.rename_columns(["component", "n_nodes"])
+        return _rename(g, {"label": "component", "count_all": "n_nodes"})
 
     sizes = (
         labels.map_batches(partial_sizes, batch_format="pyarrow")

@@ -76,15 +76,24 @@ def build_pipeline(
 ) -> "ray.data.Dataset":
     """Chain registered stages onto ``ds``. Each entry is a stage name
     or ``(name, opts)``; opts override the registered defaults and are
-    passed as ``map_batches`` kwargs (actor stages may include
-    ``fn_constructor_kwargs`` / ``concurrency`` / ``batch_size``)."""
+    passed as ``map_batches`` kwargs. An actor stage runs through
+    ``query_utils.actor_map``, which sizes its pool unless the opts
+    set ``concurrency`` / ``num_cpus`` themselves."""
+    from .query_utils import actor_map
+
     for entry in stages:
         name, opts = entry if isinstance(entry, tuple) else (entry, {})
         spec = get_stage(name)
         kwargs = {**spec.default_opts, **opts}
         if spec.is_actor:
-            kwargs.setdefault("concurrency", (1, 4))
-        ds = ds.map_batches(spec.fn_or_cls, batch_format=spec.batch_format, **kwargs)
+            ds = actor_map(ds, spec.fn_or_cls,
+                           ctor_kwargs=kwargs.pop("fn_constructor_kwargs", None),
+                           batch_size=kwargs.pop("batch_size", None),
+                           batch_format=spec.batch_format, **kwargs)
+        else:
+            ds = ds.map_batches(
+                spec.fn_or_cls, batch_format=spec.batch_format, **kwargs
+            )
     return ds
 
 

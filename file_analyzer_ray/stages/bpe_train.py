@@ -27,6 +27,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..query_utils import actor_map
+
 END = "</w>"
 
 
@@ -205,9 +207,7 @@ def bpe_encode(
                 names=["doc_id", "n_bpe_tokens"],
             )
 
-    return ds.map_batches(
-        Encoder, batch_format="pyarrow", concurrency=(2, 8), num_cpus=1
-    )
+    return actor_map(ds, Encoder)
 
 
 #: deterministic global id space with NO vocab shuffle: a single char
@@ -280,6 +280,4 @@ def bpe_encode_ids(
                 names=["doc_id", "ids", "n_bpe_tokens"],
             )
 
-    return ds.map_batches(
-        Encoder, batch_format="pyarrow", concurrency=(1, 8), num_cpus=1
-    )
+    return actor_map(ds, Encoder)

@@ -145,23 +145,11 @@ def classify_quality(
     seed: int = DEFAULT_SEED,
     scale: float = DEFAULT_SCALE,
     bias: float = 0.0,
-    concurrency: "int | tuple[int, int] | None" = None,
 ):
     """Score a ``(doc_id, text)`` dataset with the seeded hashed linear
-    model — zero-copy Arrow batches. Runs as TASKS by default (the
-    model is seed-derived and cached per worker process, so there is no
-    per-actor setup worth a pool); pass ``concurrency`` to force an
-    actor pool (e.g. when composing with stages that need one)."""
-    if concurrency is not None:
-        return ds.map_batches(
-            QualityClassifier,
-            fn_constructor_kwargs={
-                "dim": dim, "seed": seed, "scale": scale, "bias": bias,
-            },
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
+    model — zero-copy Arrow batches. Runs as TASKS (the model is
+    seed-derived and cached per worker process, so there is no
+    per-actor setup worth a pool)."""
     return ds.map_batches(
         _score_batch,
         fn_kwargs={"dim": dim, "seed": seed, "scale": scale, "bias": bias},

@@ -39,7 +39,7 @@ import pyarrow as pa
 import ray.data
 
 from .multimodal import DecodeStage, explode_media, frame_sample, resize_letterbox
-from ..query_utils import key_join, read_parquet_clean
+from ..query_utils import actor_map, key_join, read_parquet_clean
 
 # -- metric kernels (pure numpy, public formulas) -------------------------
 
@@ -161,7 +161,7 @@ class ImageEncodeStage(DecodeStage):
 
 
 def _first_media_images(
-    docs: "ray.data.Dataset", target: int, concurrency
+    docs: "ray.data.Dataset", target: int
 ) -> "ray.data.Dataset":
     """One letterboxed image per doc (first media span only — the
     reference compares file-level images 1:1)."""
@@ -171,12 +171,8 @@ def _first_media_images(
         return df.drop_duplicates("doc_id", keep="first")[["doc_id", "payload"]]
 
     firsts = media.map_batches(first_only, batch_format="pandas")
-    return firsts.map_batches(
-        ImageEncodeStage,
-        fn_constructor_kwargs={"target": target},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=concurrency,
+    return actor_map(
+        firsts, ImageEncodeStage, ctor_kwargs={"target": target}, batch_size=64
     )
 
 
@@ -185,16 +181,12 @@ def pairwise_image_compare(
     pairs: "ray.data.Dataset",
     target: int = 64,
     pixel_threshold: float = 0.1,
-    concurrency: "int | tuple[int, int] | None" = None,
 ) -> "ray.data.Dataset":
     """(docs, candidate pairs) → per-pair (ssim, mismatch_pct,
     identical). Pairs ``key_join`` the per-doc image table twice (the
     image side is decoded once per doc)."""
     import ray
 
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = (1, max(2, cpus - 2))
     # Decode ONLY the docs the candidate pairs reference: decoding the
     # full corpus for a pairwise verify was 100k decodes for ~3k
     # referenced docs at sf0.1 — 27 s of the 27.1 s query. The
@@ -242,7 +234,7 @@ def pairwise_image_compare(
     import tempfile
 
     ckpt = tempfile.mkdtemp(prefix="fa_compare_imgs_")
-    _first_media_images(docs, target, concurrency).write_parquet(ckpt)
+    _first_media_images(docs, target).write_parquet(ckpt)
     imgs = read_parquet_clean(ckpt)
 
     # Both joins size their broadcast side from the checkpoint's footers

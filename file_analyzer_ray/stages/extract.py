@@ -2,7 +2,7 @@
 pattern match, per Arrow batch.
 
 This is the hot path of the flagship pipeline. It is a callable CLASS so
-``map_batches(ExtractStage, concurrency=N)`` runs it as an actor pool:
+``query_utils.actor_map(ds, ExtractStage)`` runs it as an actor pool:
 the multi-pattern automata (compiled alternation regexes over str and
 bytes — the in-process ClamAV/ripgrep/binwalk analog, reference
 src/core/analyzer.py:478-723) are built ONCE per actor in ``__init__``

@@ -49,6 +49,7 @@ import ray
 import ray.data
 
 from ..functions.text import tokenize
+from ..query_utils import _rename
 
 # ~48 MB of u64 codes + counts; above this the ride-along assumption is
 # wrong and the caller must shrink the reference sample (CCNet keeps the
@@ -111,11 +112,11 @@ def bigram_lm(
                 {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string()),
                  "c": pa.array([], pa.int64())}
             )
-        return (
+        return _rename(
             pa.Table.from_pydict({"w1": w1s, "w2": w2s})
             .group_by(["w1", "w2"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["w1", "w2", "c"])
+            .aggregate([([], "count_all")]),
+            {"count_all": "c"},
         )
 
     parts = docs.map_batches(partial, batch_format="pyarrow").to_pandas()

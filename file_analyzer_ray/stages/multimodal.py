@@ -8,10 +8,10 @@ frame/batch handling, re-expressed Ray-Data-first:
 - media payloads are exploded to ONE ROW PER SPAN first (skew.py
   pattern) so a many-media document never serializes one task;
 - decode / resize / feature-extract run in a callable CLASS passed to
-  ``map_batches(DecodeStage, concurrency=N, batch_size=B)`` — setup
+  ``query_utils.actor_map(ds, DecodeStage, batch_size=B)`` — setup
   (codec tables, plane buffers) happens once per actor in ``__init__``;
 - batch_size stays SMALL (default 64) because rows carry KB..MB binary
-  payloads — batch × concurrency must fit the worker heap (SURVEY §4).
+  payloads — batch × pool size must fit the worker heap (SURVEY §4).
 
 The image/audio codec libraries are not in this container, so the
 actual byte→pixels decode is a clearly-marked deterministic fake
@@ -32,6 +32,7 @@ import ray.data
 
 from ..corpus import parse_frames
 from ..functions.hashing import stable_u64
+from ..query_utils import actor_map
 
 try:  # real decode path (not available in this sandbox)
     from PIL import Image  # type: ignore
@@ -348,27 +349,12 @@ class AudioFeatureStage:
 
 
 def audio_features(
-    docs: "ray.data.Dataset",
-    concurrency: "int | tuple[int, int] | None" = None,
-    batch_size: int = 64,
+    docs: "ray.data.Dataset", batch_size: int = 64
 ) -> "ray.data.Dataset":
     """Audio-analog chain: explode media spans → actor-pool waveform
     feature stage."""
-    import ray
-
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        # min=1, not 2: three of these pools can run concurrently in a
-        # union plan, and 3 pools x min-2 actors deadlocks a 4-CPU test
-        # session (all CPUs claimed, the next task never schedules).
-        concurrency = (1, max(2, cpus - 4))
     media = docs.map_batches(explode_media, batch_format="pyarrow")
-    return media.map_batches(
-        AudioFeatureStage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return actor_map(media, AudioFeatureStage, batch_size=batch_size)
 
 
 FRAME_SCHEMA = pa.schema(
@@ -415,25 +401,13 @@ class FrameFeatureStage(DecodeStage):
 def frame_features(
     docs: "ray.data.Dataset",
     target: int = 64,
-    concurrency: "int | tuple[int, int] | None" = None,
     batch_size: int = 64,
 ) -> "ray.data.Dataset":
     """Per-frame feature extraction over media spans (video analog)."""
-    import ray
-
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        # min=1, not 2: three of these pools can run concurrently in a
-        # union plan, and 3 pools x min-2 actors deadlocks a 4-CPU test
-        # session (all CPUs claimed, the next task never schedules).
-        concurrency = (1, max(2, cpus - 4))
     media = docs.map_batches(explode_media, batch_format="pyarrow")
-    return media.map_batches(
-        FrameFeatureStage,
-        fn_constructor_kwargs={"target": target},
-        batch_format="pyarrow",
+    return actor_map(
+        media, FrameFeatureStage, ctor_kwargs={"target": target},
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -441,7 +415,6 @@ def media_features(
     docs: "ray.data.Dataset",
     target: int = 64,
     mode: "str | None" = None,
-    concurrency: "int | tuple[int, int] | None" = None,
     batch_size: int = 64,
 ) -> "ray.data.Dataset":
     """Full multimodal chain: explode media spans → actor-pool
@@ -450,21 +423,10 @@ def media_features(
     for the explode/read stages. ``mode`` selects the reference's
     per-mode resolution (describe 512 / document 768 / detect 384,
     src/core/vision.py:62-72); per-row ``mode`` columns override."""
-    import ray
-
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        # min=1, not 2: three of these pools can run concurrently in a
-        # union plan, and 3 pools x min-2 actors deadlocks a 4-CPU test
-        # session (all CPUs claimed, the next task never schedules).
-        concurrency = (1, max(2, cpus - 4))
     media = docs.map_batches(explode_media, batch_format="pyarrow")
-    return media.map_batches(
-        DecodeStage,
-        fn_constructor_kwargs={"target": target, "mode": mode},
-        batch_format="pyarrow",
+    return actor_map(
+        media, DecodeStage, ctor_kwargs={"target": target, "mode": mode},
         batch_size=batch_size if mode is None else 16,
-        concurrency=concurrency,
     )
 
 
@@ -575,9 +537,7 @@ class FusedMediaStage(DecodeStage):
 
 
 def union_media_features(
-    docs: "ray.data.Dataset",
-    concurrency: "int | tuple[int, int] | None" = None,
-    batch_size: int = 64,
+    docs: "ray.data.Dataset", batch_size: int = 64
 ) -> "ray.data.Dataset":
     """Three-pool reference plan for the multimodal union: run
     DecodeStage + FrameFeatureStage + AudioFeatureStage as separate
@@ -636,9 +596,9 @@ def union_media_features(
             schema=UNION_SCHEMA,
         )
 
-    img = media_features(docs, concurrency=concurrency, batch_size=batch_size)
-    frm = frame_features(docs, concurrency=concurrency, batch_size=batch_size)
-    aud = audio_features(docs, concurrency=concurrency, batch_size=batch_size)
+    img = media_features(docs, batch_size=batch_size)
+    frm = frame_features(docs, batch_size=batch_size)
+    aud = audio_features(docs, batch_size=batch_size)
     return (
         img.map_batches(proj_image, batch_format="pyarrow")
         .union(frm.map_batches(proj_frame, batch_format="pyarrow"))
@@ -647,22 +607,8 @@ def union_media_features(
 
 
 def fused_media_features(
-    docs: "ray.data.Dataset",
-    concurrency: "int | tuple[int, int] | None" = None,
-    batch_size: int = 64,
+    docs: "ray.data.Dataset", batch_size: int = 64
 ) -> "ray.data.Dataset":
-    """Single-pool multimodal union: explode once → FusedMediaStage.
-    The pool can start above one actor because it is the ONLY pool in
-    the plan (unlike the three-way union path)."""
-    import ray
-
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = (max(1, cpus // 8), max(2, cpus - 2))
+    """Single-pool multimodal union: explode once → FusedMediaStage."""
     media = docs.map_batches(explode_media, batch_format="pyarrow")
-    return media.map_batches(
-        FusedMediaStage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return actor_map(media, FusedMediaStage, batch_size=batch_size)

@@ -37,6 +37,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..query_utils import _rename
+
 #: fixed label set (the synthetic corpus's lang mix; FIXTURES.md) —
 #: static output schema, alphabetical order IS the tie-break order.
 LANGS = ("de", "en", "es", "fr", "zh")
@@ -71,7 +73,7 @@ def _lang_term_counts(t: pa.Table, train_mod: int) -> pa.Table:
         names=["lang", "term"],
     )
     agg = pairs.group_by(["lang", "term"]).aggregate([("term", "count")])
-    counts = agg.rename_columns(["lang", "term", "c"]).cast(_COUNT_SCHEMA)
+    counts = _rename(agg, {"term_count": "c"}).cast(_COUNT_SCHEMA)
     # per-lang train-doc counts ride along as term='' sentinel rows
     # ('' can never be a token: the empty-string mask above)
     docs = (
@@ -99,9 +101,9 @@ def train_nb(docs: "ray.data.Dataset", train_mod: int = 3) -> dict:
         return _lang_term_counts(t, train_mod)
 
     def merge(t: pa.Table) -> pa.Table:
-        return (
-            t.group_by(["lang", "term"]).aggregate([("c", "sum")])
-            .rename_columns(["lang", "term", "c"])
+        return _rename(
+            t.group_by(["lang", "term"]).aggregate([("c", "sum")]),
+            {"c_sum": "c"},
         )
 
     merged = (

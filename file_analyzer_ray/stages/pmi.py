@@ -86,6 +86,8 @@ def _tokens_with_parents(t: pa.Table) -> tuple[pa.Array, np.ndarray]:
 def _count_partial(t: pa.Table) -> pa.Table:
     """The combiner: one (kind, w1, w2, n) row per distinct unigram
     ('u'), bigram ('b') and total ('t') in the batch."""
+    from ..query_utils import _rename
+
     if t.num_rows == 0:
         return _COUNT_SCHEMA.empty_table()
     flat, par = _tokens_with_parents(t)
@@ -93,22 +95,20 @@ def _count_partial(t: pa.Table) -> pa.Table:
     if n_tok == 0:
         return _COUNT_SCHEMA.empty_table()
     # unigram counts: one Arrow group_by over the flat token array
-    ug = (
-        pa.table({"w1": flat})
-        .group_by(["w1"])
-        .aggregate([("w1", "count")])
-        .rename_columns(["w1", "n"])
+    ug = _rename(
+        pa.table({"w1": flat}).group_by(["w1"]).aggregate([("w1", "count")]),
+        {"w1_count": "n"},
     )
     # bigrams: adjacent tokens under the same parent row — vectorized
     same = par[1:] == par[:-1]
     w1 = flat.slice(0, n_tok - 1).filter(pa.array(same))
     w2 = flat.slice(1).filter(pa.array(same))
     n_big = len(w1)
-    bg = (
+    bg = _rename(
         pa.table({"w1": w1, "w2": w2, "g": np.ones(n_big, np.int8)})
         .group_by(["w1", "w2"])
-        .aggregate([("g", "count")])
-        .rename_columns(["w1", "w2", "n"])
+        .aggregate([("g", "count")]),
+        {"g_count": "n"},
     )
     empty = pa.array([""] * ug.num_rows, pa.string())
     parts = [

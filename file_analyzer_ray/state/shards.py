@@ -106,7 +106,7 @@ class ShardWorker:
         from ..stages.extract import ExtractStage
         from .guard import validate_sink_dir
 
-        # This worker is scheduled at num_cpus=1, but pyarrow's default
+        # This worker owns at most one CPU, but pyarrow's default
         # thread pool is cpu_count-wide — 30 such actors × 32 threads
         # oversubscribe the box ~30x and the parquet read of a 14 MB
         # shard measures 0.35 s threaded vs 0.026 s single-threaded
@@ -171,7 +171,7 @@ class ShardWorker:
 #: parameters reuse live actors instead of paying ~0.5-1 s of actor
 #: spin-up per run. At most ONE pool is cached; a call with a different
 #: key kills the old pool first. Default is still kill-per-run —
-#: a cached num_cpus=1 × n pool would pin every CPU of a small test
+#: a cached one-CPU-per-actor pool would pin every CPU of a small test
 #: session and deadlock later Dataset executions.
 _POOL_CACHE: "tuple[tuple, list] | None" = None
 
@@ -192,7 +192,7 @@ def run_sharded(
     out_dir: str,
     *,
     score: bool = True,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     resume: bool = True,
     run_meta: dict | None = None,
     fail_shards: frozenset[str] = frozenset(),
@@ -207,9 +207,8 @@ def run_sharded(
     balancing with none of the Dataset streaming executor's per-task
     scheduling cost, which measures ~40% of wall time for these
     sub-second shard tasks (81k vs 43k docs/s at 32 CPUs on the
-    800k-doc corpus). ``concurrency`` is the actor count (a
-    ``(min, max)`` tuple uses its max); the default is every CPU of
-    the session on small hosts and all but two on larger ones. With
+    800k-doc corpus). ``concurrency`` is the actor count; the default
+    is the maximum of ``query_utils._pool_size`` for the session. With
     ``keep_pool=True`` the pool is cached for the next call with the
     same parameters, keyed on the requested actor count — a resume of
     fewer shards than actors reuses the warm pool."""
@@ -218,6 +217,7 @@ def run_sharded(
     import ray
     from ray.util import ActorPool
 
+    from ..query_utils import _pool_size, _session_cpus
     from .guard import validate_sink_dir
 
     global _POOL_CACHE
@@ -238,16 +238,8 @@ def run_sharded(
     n_skipped = len(shards) - len(todo)
     if not todo:
         return {"shards": 0, "rows": 0, "span_count": 0, "skipped": n_skipped}
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        # Use EVERY core as an actor on small hosts (measured: 8 CPUs /
-        # 8 actors = 47k docs/s vs 31k at 6 actors — the driver's
-        # dispatch loop is cheap enough to share a core); reserve 2
-        # driver/system cores only on larger hosts. Never more actors
-        # than CPUs: a num_cpus=1 actor that cannot be placed leaves
-        # ActorPool waiting on it forever.
-        concurrency = max(1, cpus if cpus <= 8 else cpus - 2)
-    n_actors = concurrency[1] if isinstance(concurrency, tuple) else concurrency
+    n_actors, per_actor = _pool_size(_session_cpus(), streaming=False)
+    n_actors = concurrency or n_actors
     ctor_kwargs = {
         "out_dir": out_dir,
         "score": score,
@@ -265,7 +257,7 @@ def run_sharded(
     for attempt in range(2):
         if actors is None:
             shutdown_pool()
-            worker_cls = ray.remote(num_cpus=1)(_PooledShardWorker)
+            worker_cls = ray.remote(num_cpus=per_actor)(_PooledShardWorker)
             # a kept pool serves later full runs too: start it at the
             # requested size, not clipped to this call's shard count
             n = n_actors if keep_pool else min(n_actors, len(todo))

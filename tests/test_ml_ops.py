@@ -731,11 +731,11 @@ def test_quality_classifier_kernel_edges(ray_session):
         assert out.column("score")[i].as_py() == exp
         assert out.column("keep")[i].as_py() == (exp >= 0)
 
-    # dataset path: actor pool over multiple blocks, same values
+    # dataset path: tasks over multiple blocks, same values
     ds = ray.data.from_pandas(
         pd.DataFrame({"doc_id": ids, "text": texts})
     ).repartition(3)
-    rows = {r["doc_id"]: r for r in classify_quality(ds, concurrency=2).take_all()}
+    rows = {r["doc_id"]: r for r in classify_quality(ds).take_all()}
     for i in range(len(texts)):
         assert rows[i]["score"] == out.column("score")[i].as_py()
 

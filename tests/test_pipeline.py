@@ -33,7 +33,7 @@ def oracle_rows():
 def pipeline_rows(ray_session, ray_docs):
     from file_analyzer_ray.pipelines.extract import extract_pipeline
 
-    out = extract_pipeline(ray_docs, score=True, concurrency=2, batch_size=64)
+    out = extract_pipeline(ray_docs, score=True, batch_size=64)
     return {r["doc_id"]: r for r in out.take_all()}
 
 
@@ -80,7 +80,7 @@ def test_standalone_scorer_equals_fused(ray_session, ray_docs, pipeline_rows):
     from file_analyzer_ray.pipelines.extract import extract_pipeline
     from file_analyzer_ray.stages.scorer import ScorerStage
 
-    ext = extract_pipeline(ray_docs, score=False, concurrency=2, batch_size=64)
+    ext = extract_pipeline(ray_docs, score=False, batch_size=64)
     scored = ext.map_batches(
         ScorerStage, batch_format="pyarrow", batch_size=64, concurrency=2
     )
@@ -120,7 +120,7 @@ def test_exact_dedup_clusters_match_oracle(ray_session, ray_docs, oracle_rows):
     from file_analyzer_ray.pipelines.extract import extract_pipeline
     from file_analyzer_ray.stages.dedup import exact_dedup_clusters
 
-    extracted = extract_pipeline(ray_docs, score=False, concurrency=2).materialize()
+    extracted = extract_pipeline(ray_docs, score=False).materialize()
     exp = dedup_clusters(list(oracle_rows.values()))
     # default single-task merge, then the sorted-run merge (threshold 0)
     for threshold in (2_000_000, 0):
@@ -183,7 +183,7 @@ def test_resume_after_injected_crash(ray_session, tmp_path, ray_docs):
     clean = str(tmp_path / "clean")
 
     def make():
-        return extract_pipeline(ray_docs, score=False, concurrency=2)
+        return extract_pipeline(ray_docs, score=False)
 
     with pytest.raises(Exception):
         write_partitioned(make(), out, num_partitions=8, fail_partitions=frozenset({2, 6}))
