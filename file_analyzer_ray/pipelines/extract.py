@@ -23,32 +23,21 @@ separate keyed query over the narrow (doc_id, content_hash) projection
 
 from __future__ import annotations
 
-import os
-
-from ..corpus import generate_parquet
+from ..corpus import CORPUS_VERSION, generate_parquet
 from ..query_utils import actor_map, read_parquet_clean
 from ..stages.extract import ExtractStage
-
-_CORPUS_CACHE_ROOT = "/tmp/fa_ray_corpus"
+from ..state.guard import build_once
 
 
 def corpus_path(n_docs: int) -> str:
-    """Deterministic on-disk corpus cache (generated once per size)."""
-    # v2: 2000-doc shards (finer units for shard-level checkpointing)
-    path = os.path.join(_CORPUS_CACHE_ROOT, f"v2_{n_docs}")
-    marker = os.path.join(path, "_COMPLETE")
-    if not os.path.exists(marker):
-        tmp = path + ".building"
-        import shutil
-
-        shutil.rmtree(tmp, ignore_errors=True)
-        generate_parquet(n_docs, tmp)
-        os.makedirs(os.path.dirname(marker), exist_ok=True)
-        shutil.rmtree(path, ignore_errors=True)
-        os.replace(tmp, path)
-        with open(marker, "w") as f:
-            f.write("ok")
-    return path
+    """Deterministic on-disk corpus, generated once per
+    (``CORPUS_VERSION``, ``n_docs``, file size) by ``guard.build_once``."""
+    per_file = 2000  # docs per parquet file: the sharded sink's resume unit
+    return build_once(
+        "corpus", [],
+        lambda tmp: generate_parquet(n_docs, tmp, docs_per_file=per_file),
+        extra=(CORPUS_VERSION, n_docs, per_file),
+    )
 
 
 def extract_pipeline(

@@ -296,52 +296,31 @@ WHERE a.name < b.name
 
 def q_bucketed_customer_revenue(sf_dir: str):
     """customer_order_revenue computed THROUGH the bucketed layout
-    (state/bucketed.py): both tables hash-bucketed by custkey into /tmp
-    scratch once (idempotent — reruns reuse the layout), then an
-    exchange-free bucket-local join feeds the standard two-level
+    (state/bucketed.py): both tables hash-bucketed by custkey once into
+    a ``guard.build_once`` layout keyed on the input CONTENT (reruns
+    reuse it; regenerated parquet under the same sf_dir gets a fresh
+    one — a path-only tag silently joined stale bucket data, ADVICE r2),
+    then an exchange-free bucket-local join feeds the standard two-level
     aggregation. Same oracle SQL as the broadcast-join variant, so the
     value-hash pins the layout's correctness end-to-end."""
-    import hashlib
-    import os
-
     from ray.data.aggregate import Sum
 
     from .state.bucketed import bucketed_join, write_bucketed
-    from .state.shards import input_file_fingerprint
+    from .state.guard import build_once
 
-    # Cache tag covers the INPUT CONTENT, not just the path: if the
-    # parquet under the same sf_dir is regenerated, the fingerprint
-    # changes and a fresh layout is written (ADVICE r2: a path-only tag
-    # silently joined stale bucket data after input regeneration).
-    fp = "|".join(
-        [sf_dir]
-        + [input_file_fingerprint(f"{sf_dir}/{t}.parquet") for t in ("orders", "customer")]
-    )
-    tag = hashlib.md5(fp.encode()).hexdigest()[:8]
-    base = f"/tmp/fa_bucketed_{tag}"
-    od, cd = base + "/orders", base + "/customer"
     nb = 16
 
-    def _write_atomic(dest: str, make) -> None:
-        # write-to-tmp + atomic rename: a crash mid-write can never
-        # leave a partial layout that a later run would trust
-        if os.path.isdir(dest):
-            return
-        import shutil
+    def make(tmp: str) -> None:
+        write_bucketed(_read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+                       f"{tmp}/orders", "o_custkey", nb)
+        write_bucketed(_read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
+                       f"{tmp}/customer", "c_custkey", nb)
 
-        tmp = dest + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        make(tmp)
-        os.rename(tmp, dest)
-
-    _write_atomic(od, lambda d: write_bucketed(
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
-        d, "o_custkey", nb,
-    ))
-    _write_atomic(cd, lambda d: write_bucketed(
-        _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
-        d, "c_custkey", nb,
-    ))
+    base = build_once(
+        "bucketed", [f"{sf_dir}/{t}.parquet" for t in ("orders", "customer")],
+        make, extra=(nb,),
+    )
+    od, cd = base + "/orders", base + "/customer"
     joined = bucketed_join(
         od, cd, "o_custkey", "c_custkey", nb,
         columns_a=["o_custkey", "o_totalprice"],

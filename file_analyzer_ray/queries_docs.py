@@ -888,20 +888,16 @@ def q_docs_incremental_dedup(sf_dir: str):
     """Incremental dedup against a persisted fingerprint index
     (stages/incremental.py): docs with doc_id % 3 != 0 play the
     already-ingested corpus whose fingerprints are written ONCE as a
-    hash-bucketed parquet index under /tmp (cache tag covers the input
-    CONTENT via input_file_fingerprint — same doctrine as
-    bucketed_customer_revenue); the doc_id % 7 == 0 docs play an
+    hash-bucketed parquet index (a ``guard.build_once`` layout keyed on
+    the documents file's CONTENT); the doc_id % 7 == 0 docs play an
     incoming RE-CRAWL shard — overlapping the corpus, as real re-crawls
     do — probed against ONLY the index cells their fingerprints hash
     to. Probe I/O is proportional to the shard, never the corpus — the
     delta-processing shape 100 TB re-crawls need. Emits (doc_id,
     fingerprint, in_corpus) per shard doc: already-ingested pages flag
     True, genuinely new ones False."""
-    import hashlib
-    import os
-
     from .stages.incremental import probe_index, write_dedup_index
-    from .state.shards import input_file_fingerprint
+    from .state.guard import build_once
 
     ds = _read_docs_coalesced(sf_dir)
 
@@ -910,24 +906,15 @@ def q_docs_incremental_dedup(sf_dir: str):
         m = (ids % 3 != 0) if corpus else (ids % 7 == 0)
         return t.filter(pa.array(m))
 
-    fp = "|".join(
-        [sf_dir, input_file_fingerprint(f"{sf_dir}/documents.parquet")]
-    )
-    tag = hashlib.md5(fp.encode()).hexdigest()[:8]
-    index_dir = f"/tmp/fa_dedup_index_{tag}"
     nb = 16
-    if not os.path.isdir(index_dir):
-        # write-to-tmp + atomic rename: a crash mid-write can never
-        # leave a partial layout that a later run would trust
-        import shutil
-
-        tmp = index_dir + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        write_dedup_index(
+    index_dir = build_once(
+        "dedup_index", [f"{sf_dir}/documents.parquet"],
+        lambda tmp: write_dedup_index(
             ds.map_batches(lambda t: split(t, True), batch_format="pyarrow"),
             tmp, num_buckets=nb,
-        )
-        os.rename(tmp, index_dir)
+        ),
+        extra=(nb,),
+    )
     shard = ds.map_batches(lambda t: split(t, False), batch_format="pyarrow")
     return probe_index(shard, index_dir, num_buckets=nb)
 

@@ -386,19 +386,15 @@ def q_embeddings_knn_pq(sf_dir: str):
     ADC lookup tables, bounded exact rerank), SELF-VERIFYING via the
     knn_ivf doctrine: rows are the exact brute-force top-k plus
     engine-asserted ``pq_n`` / ``recall_ok`` columns the oracle states
-    as constants. The PQ layout is built once per (sf, process) under
-    /tmp and reused — the write-once scan-many codec shape."""
-    import os
-    import tempfile
-
+    as constants. The PQ layout is a ``guard.build_once`` directory keyed
+    on the embeddings file's CONTENT, built once and reused — the
+    write-once scan-many codec shape."""
     from .stages.ann import knn_pq, write_pq_layout
+    from .state.guard import build_once
 
     k = 10
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    lay = os.path.join(tempfile.gettempdir(), f"fa_ray_pq_{tag}")
-    if not os.path.isdir(lay) or not os.listdir(lay):
-        os.makedirs(lay, exist_ok=True)
-        write_pq_layout(sf_dir, lay)
+    lay = build_once("pq", [f"{sf_dir}/embeddings.parquet"],
+                     lambda tmp: write_pq_layout(sf_dir, tmp))
     pq_rows = knn_pq(sf_dir, lay, k=k, rerank=4).take_all()
     pq_ids = {int(r["vec_id"]) for r in pq_rows}
     pq_n = len(pq_rows)

@@ -1219,41 +1219,25 @@ FROM events
 def q_events_range_pruned(sf_dir: str):
     """Time-window analytics THROUGH the range-partitioned zone-map
     layout (state/ranged.py): events written ONCE into day-width
-    ``r=<id>/`` partitions (idempotent /tmp cache keyed on the input
-    CONTENT fingerprint, atomic rename — the bucketed-layout
-    discipline), then the [2024-01-08, 2024-01-15) window opens ONLY
+    ``r=<id>/`` partitions (a ``guard.build_once`` layout keyed on the
+    input CONTENT), then the [2024-01-08, 2024-01-15) window opens ONLY
     the 7 overlapping day partitions (directory-name zone map + exact
     residual filter) and aggregates per event type. The oracle is a
     plain WHERE-range over the full table, so the value hash pins
     layout + pruning + residual-filter correctness end-to-end."""
-    import hashlib
-    import os
-
     from ray.data.aggregate import Sum
 
+    from .state.guard import build_once
     from .state.ranged import DAY_US, read_range, write_range_partitioned
-    from .state.shards import input_file_fingerprint
 
-    fp = sf_dir + "|" + input_file_fingerprint(f"{sf_dir}/events.parquet")
-    dest = f"/tmp/fa_ranged_{hashlib.md5(fp.encode()).hexdigest()[:8]}/events"
-    if not os.path.isdir(dest):
-        import shutil
-
-        tmp = dest + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
-        write_range_partitioned(
+    dest = build_once(
+        "ranged", [f"{sf_dir}/events.parquet"],
+        lambda tmp: write_range_partitioned(
             _read(sf_dir, "events", ["ts", "event_type", "value"]),
             tmp, "ts", DAY_US,
-        )
-        try:
-            os.rename(tmp, dest)
-        except OSError:
-            # a concurrent run won the rename race: its layout is
-            # content-identical (same fingerprint tag) — use it
-            if not os.path.isdir(dest):
-                raise
-            shutil.rmtree(tmp, ignore_errors=True)
+        ),
+        extra=(DAY_US,),
+    )
 
     lo = 1_704_672_000_000_000  # 2024-01-08T00:00:00 epoch-us
     hi = 1_705_276_800_000_000  # 2024-01-15T00:00:00
@@ -1297,15 +1281,13 @@ def q_events_zorder_pruned(sf_dir: str):
     time but scans every user; Z-ordering makes the read proportional
     to the rectangle's AREA. Oracle = the same predicate over the full
     table, so the hash pins layout + cell enumeration + residual
-    filter end-to-end. Layout cache keyed on the input CONTENT
-    fingerprint (the bucketed-layout discipline)."""
-    import hashlib
+    filter end-to-end. The layout is a ``guard.build_once`` directory
+    keyed on the input CONTENT."""
     import math
-    import os
 
     from ray.data.aggregate import Sum
 
-    from .state.shards import input_file_fingerprint
+    from .state.guard import build_once
     from .state.zorder import _footer_min_max, read_rect, write_zorder
 
     src = f"{sf_dir}/events.parquet"
@@ -1315,38 +1297,27 @@ def q_events_zorder_pruned(sf_dir: str):
     T0 = 1_704_067_200_000_000  # 2024-01-01T00:00:00 epoch-us
     T1 = 1_706_745_600_000_000  # 2024-02-01T00:00:00
 
-    fp = sf_dir + "|z|" + input_file_fingerprint(src)
-    dest = f"/tmp/fa_zorder_{hashlib.md5(fp.encode()).hexdigest()[:8]}/events"
-    if not os.path.isdir(dest):
-        import shutil
+    def to_us(t: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
+            [
+                t.column("user_id").cast(pa.int64()),
+                t.column("ts").cast(pa.timestamp("us")).cast(pa.int64()),
+                t.column("event_type"),
+                t.column("value"),
+            ],
+            names=["user_id", "ts_us", "event_type", "value"],
+        )
 
-        tmp = dest + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
-
-        def to_us(t: pa.Table) -> pa.Table:
-            return pa.Table.from_arrays(
-                [
-                    t.column("user_id").cast(pa.int64()),
-                    t.column("ts").cast(pa.timestamp("us")).cast(pa.int64()),
-                    t.column("event_type"),
-                    t.column("value"),
-                ],
-                names=["user_id", "ts_us", "event_type", "value"],
-            )
-
-        write_zorder(
+    dest = build_once(
+        "zorder", [src],
+        lambda tmp: write_zorder(
             _read(sf_dir, "events", ["user_id", "ts", "event_type", "value"])
             .map_batches(to_us, batch_format="pyarrow"),
             tmp, "user_id", "ts_us",
             x_range=(u_lo, u_hi), y_range=(T0, T1 - 1),
-        )
-        try:
-            os.rename(tmp, dest)
-        except OSError:
-            if not os.path.isdir(dest):
-                raise
-            shutil.rmtree(tmp, ignore_errors=True)
+        ),
+        extra=(T0, T1),
+    )
 
     x_hi = math.ceil((u_hi + 1) / 3.0)  # first third of the user space
     lo = 1_704_672_000_000_000  # 2024-01-08T00:00:00 epoch-us

@@ -6,25 +6,27 @@ metrics". Design (SURVEY.md §4 checkpoint/resume):
 
 - output partition = ``hash(doc_id) % P`` (stable across reruns — the
   hash is sha256 of the doc_id string, never Python's salted ``hash``)
-- each partition is written ATOMICALLY: parquet to ``.tmp`` then
-  ``os.replace``, manifest json written last (the manifest is the
-  fence — a partition without one is incomplete and is redone)
+- each partition is published and fenced through state/guard.py:
+  ``part-<pid:05d>.parquet`` by ``guard.publish`` (tmp file, then an
+  atomic rename), then ``<pid:05d>.manifest.json`` by ``guard.fence``,
+  written last (a partition without a fence is incomplete and is redone)
 - the manifest carries lineage + metrics:
-  ``{partition_id, input_fingerprint (sha256 over the partition's
-  sorted (doc_id, content_hash) pairs), row_count, span_count,
-  engine_version, run_meta}`` — the Ray-native analog of the
-  reference's artifact manifest (src/core/artifact_guard.py:125-186:
-  created/owner/git_commit/ci_job/pid/context)
-- resume = list completed manifests → filter those partitions out of
-  the input → process only the rest. Rows are sorted by doc_id inside a
-  partition so a resumed run's output is content-identical to a clean
-  run's.
+  ``{partition_id, num_partitions, data_file, output_fingerprint
+  (guard.content_fingerprint over the partition's (doc_id,
+  content_hash) rows — the same order-independent sum the shard sink
+  records), row_count, span_count, engine_version, run_meta}`` — the
+  Ray-native analog of the reference's artifact manifest
+  (src/core/artifact_guard.py:125-186: created/owner/git_commit/
+  ci_job/pid/context)
+- resume = list fenced manifests → filter those partitions out of the
+  input → process only the rest. A fence written with another
+  ``num_partitions`` describes another layout: the call raises rather
+  than mixing the two. Rows are sorted by doc_id inside a partition so
+  a resumed run's output is content-identical to a clean run's.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 
 import pyarrow as pa
@@ -35,8 +37,8 @@ import ray.data
 from .. import __version__
 from ..functions.hashing import stable_u64
 from ..query_utils import read_parquet_clean
-
-MANIFEST_SUFFIX = ".manifest.json"
+from .guard import (MANIFEST_SUFFIX, content_fingerprint, fence, fenced,
+                     publish, validate_sink_dir)
 
 
 def partition_of(doc_id: str, num_partitions: int) -> int:
@@ -54,31 +56,19 @@ def add_partition_id(batch: pa.Table, num_partitions: int) -> pa.Table:
 
 def completed_partitions(out_dir: str) -> dict[int, dict]:
     """partition_id → manifest for every fenced (complete) partition."""
-    done: dict[int, dict] = {}
-    if not os.path.isdir(out_dir):
-        return done
-    for name in os.listdir(out_dir):
-        if name.endswith(MANIFEST_SUFFIX):
-            try:
-                with open(os.path.join(out_dir, name)) as f:
-                    m = json.load(f)
-                if os.path.exists(os.path.join(out_dir, m["data_file"])):
-                    done[int(m["partition_id"])] = m
-            except (json.JSONDecodeError, KeyError, OSError):
-                continue  # torn manifest == incomplete partition
-    return done
+    return {int(m["partition_id"]): m for m in fenced(out_dir) if "partition_id" in m}
 
 
 class PartitionWriter:
-    """``map_groups`` callable: writes one partition atomically, returns
-    its manifest row. ``fail_partitions`` injects crashes for resume
-    tests."""
+    """``map_groups`` callable: writes one partition of a
+    ``num_partitions``-way layout atomically, returns its manifest row.
+    ``fail_partitions`` injects crashes for resume tests."""
 
     def __init__(self, out_dir: str, run_meta: dict | None = None,
-                 fail_partitions: frozenset[int] = frozenset()):
-        from .guard import validate_sink_dir
-
+                 fail_partitions: frozenset[int] = frozenset(),
+                 num_partitions: int = 32):
         self.out_dir = validate_sink_dir(out_dir)
+        self.num_partitions = num_partitions
         self.run_meta = run_meta or {}
         self.fail_partitions = fail_partitions
 
@@ -88,45 +78,30 @@ class PartitionWriter:
             raise RuntimeError(f"injected failure for partition {pid}")
         # Deterministic partition content: sort rows by doc_id.
         group = group.sort_by("doc_id")
-        fp = hashlib.sha256()
+        ids = group.column("doc_id").to_pylist()
+        hashes = (group.column("content_hash").to_pylist()
+                  if "content_hash" in group.column_names else [""] * len(ids))
         span_count = 0
-        has_hash = "content_hash" in group.column_names
-        hashes = group.column("content_hash").to_pylist() if has_hash else None
-        for i, d in enumerate(group.column("doc_id").to_pylist()):
-            fp.update(d.encode()); fp.update(b"\x00")
-            if hashes:
-                fp.update(hashes[i].encode()); fp.update(b"\x01")
         if "n_spans" in group.column_names:
-            span_count = sum(group.column("n_spans").to_pylist())
+            span_count = int(sum(group.column("n_spans").to_pylist()))
         data_file = f"part-{pid:05d}.parquet"
-        final = os.path.join(self.out_dir, data_file)
-        tmp = final + ".tmp"
         os.makedirs(self.out_dir, exist_ok=True)
-        pq.write_table(group, tmp)
-        os.replace(tmp, final)  # atomic publish of the data file
-        manifest = {
+        publish(os.path.join(self.out_dir, data_file),
+                lambda tmp: pq.write_table(group, tmp))
+        row = {
             "partition_id": pid,
-            "data_file": data_file,
-            "input_fingerprint": fp.hexdigest(),
             "row_count": group.num_rows,
-            "span_count": int(span_count),
+            "span_count": span_count,
+            "output_fingerprint": content_fingerprint(ids, hashes),
+        }
+        fence(self.out_dir, f"{pid:05d}{MANIFEST_SUFFIX}", {
+            **row,
+            "num_partitions": self.num_partitions,
+            "data_file": data_file,
             "engine_version": __version__,
             "run_meta": self.run_meta,
-        }
-        mtmp = os.path.join(self.out_dir, f".{pid:05d}{MANIFEST_SUFFIX}.tmp")
-        with open(mtmp, "w") as f:
-            json.dump(manifest, f, sort_keys=True)
-        os.replace(mtmp, os.path.join(self.out_dir, f"{pid:05d}{MANIFEST_SUFFIX}"))
-        return pa.Table.from_pylist(
-            [
-                {
-                    "partition_id": pid,
-                    "row_count": group.num_rows,
-                    "span_count": int(span_count),
-                    "input_fingerprint": manifest["input_fingerprint"],
-                }
-            ]
-        )
+        })
+        return pa.Table.from_pylist([row])
 
 
 def write_partitioned(
@@ -140,12 +115,21 @@ def write_partitioned(
     """Write ``ds`` (must carry ``doc_id``) as ``num_partitions`` atomic
     parquet partitions + manifests; skips already-fenced partitions when
     resuming. Returns the manifest rows written this run. The sink URI
-    is validated at construction (guard.py PathGuard analog)."""
-    from .guard import validate_sink_dir
-
+    is validated at construction (guard.py PathGuard analog), and
+    ``ValueError`` is raised, resuming or not, when ``out_dir`` holds
+    fences of another ``num_partitions``."""
     out_dir = validate_sink_dir(out_dir)
-    done = completed_partitions(out_dir) if resume else {}
-    if len(done) >= num_partitions and set(range(num_partitions)) <= set(done):
+    done = completed_partitions(out_dir)
+    found = {m.get("num_partitions") for m in done.values()}
+    if found - {num_partitions}:
+        raise ValueError(
+            f"{out_dir} holds partitions fenced with num_partitions="
+            f"{sorted(found, key=str)}; this call asks for num_partitions="
+            f"{num_partitions}: write to a fresh directory or remove the old output"
+        )
+    if not resume:
+        done = {}
+    if set(range(num_partitions)) <= set(done):
         return []  # everything fenced: nothing to execute at all
     parted = ds.map_batches(
         lambda b: add_partition_id(b, num_partitions), batch_format="pyarrow"
@@ -158,7 +142,7 @@ def write_partitioned(
             ),
             batch_format="pyarrow",
         )
-    writer = PartitionWriter(out_dir, run_meta, fail_partitions)
+    writer = PartitionWriter(out_dir, run_meta, fail_partitions, num_partitions)
 
     def write_partition(group: pa.Table) -> pa.Table:
         return writer(group)

@@ -10,15 +10,15 @@ key-partitioned sink (state/lineage.py), which co-locates output by
 ``hash(doc_id)`` for downstream keyed consumption at the cost of one
 shuffle; pipelines that only need resumable bulk extraction use this.
 
-Layout:
-    out_dir/shard-<stem>.parquet            (atomic tmp+rename)
-    out_dir/shard-<stem>.manifest.json      (the fence, written last)
-manifest = {shard, input_file_fingerprint (size + head/tail sha256 of
-the INPUT shard file — resume compares this, so a regenerated input
+Layout (published and fenced through state/guard.py):
+    out_dir/shard-<stem>.parquet            (``guard.publish``)
+    out_dir/shard-<stem>.manifest.json      (``guard.fence``, written last)
+manifest = {shard, input_file_fingerprint (``guard.input_file_fingerprint``
+of the INPUT shard file — resume compares this, so a regenerated input
 with the same filename is re-processed, not skipped), output_fingerprint
-(order-independent sha over the output (doc_id, content_hash) set —
-the cross-parallelism identity check), row_count, span_count,
-engine_version, run_meta}.
+(``guard.content_fingerprint``, order-independent over the output
+(doc_id, content_hash) set — the cross-parallelism identity check),
+row_count, span_count, engine_version, run_meta}.
 
 Ray shape: ``ray.util.ActorPool.map_unordered`` over the shard paths
 — each pooled actor holds a ``ShardWorker`` with the fused
@@ -28,7 +28,6 @@ shard per call.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
@@ -36,14 +35,13 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import __version__
+from .guard import (MANIFEST_SUFFIX, content_fingerprint, fence, fenced,
+                     input_file_fingerprint, publish, validate_sink_dir)
 
 # NOTE: no module-level ``ray``/``ray.data``/pandas import — this module
 # is the actor-side dependency chain, and every worker process pays its
 # import time at actor cold-start (measured ~0.9 s for ray.data+pandas
 # on this box, ×30 contending actors ≈ 2 s of the timed job).
-
-MANIFEST_SUFFIX = ".manifest.json"
-
 
 def _shard_stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
@@ -51,49 +49,7 @@ def _shard_stem(path: str) -> str:
 
 def completed_shards(out_dir: str) -> dict[str, dict]:
     """shard stem → manifest for every fenced shard."""
-    done: dict[str, dict] = {}
-    if not os.path.isdir(out_dir):
-        return done
-    for name in os.listdir(out_dir):
-        if name.startswith("shard-") and name.endswith(MANIFEST_SUFFIX):
-            try:
-                with open(os.path.join(out_dir, name)) as f:
-                    m = json.load(f)
-                if os.path.exists(os.path.join(out_dir, m["data_file"])):
-                    done[m["shard"]] = m
-            except (json.JSONDecodeError, KeyError, OSError):
-                continue  # torn manifest == not fenced
-    return done
-
-
-def input_file_fingerprint(path: str, probe: int = 1 << 20) -> str:
-    """Fast fingerprint of an input shard FILE: size + sha256 of the
-    first and last ``probe`` bytes. Mtime-free (stable across copies);
-    head+tail probing keeps resume validation O(probe) per shard
-    instead of re-reading 100 TB — parquet files carry their footer
-    metadata (row counts, column stats) in the probed tail, so any
-    regeneration that changes row content perturbs the tail bytes."""
-    st = os.stat(path)
-    h = hashlib.sha256()
-    h.update(str(st.st_size).encode())
-    with open(path, "rb") as f:
-        h.update(f.read(probe))
-        if st.st_size > probe:
-            f.seek(max(probe, st.st_size - probe))
-            h.update(f.read(probe))
-    return h.hexdigest()
-
-
-def content_fingerprint(doc_ids: list[str], hashes: list[str]) -> str:
-    """Order-independent fingerprint of a (doc_id, content_hash) set:
-    sum of per-row sha256 values mod 2^128. Stable across parallelism
-    levels, batch boundaries and row order."""
-    acc = 0
-    mod = 1 << 128
-    for d, h in zip(doc_ids, hashes):
-        row = hashlib.sha256(d.encode() + b"\x00" + h.encode()).digest()[:16]
-        acc = (acc + int.from_bytes(row, "little")) % mod
-    return f"{acc:032x}"
+    return {m["shard"]: m for m in fenced(out_dir, "shard-") if "shard" in m}
 
 
 class ShardWorker:
@@ -104,7 +60,6 @@ class ShardWorker:
                  run_meta: dict | None = None,
                  fail_shards: frozenset[str] = frozenset()):
         from ..stages.extract import ExtractStage
-        from .guard import validate_sink_dir
 
         # This worker owns at most one CPU, but pyarrow's default
         # thread pool is cpu_count-wide — 30 such actors × 32 threads
@@ -131,10 +86,8 @@ class ShardWorker:
             # per-call, not per-actor: a warm pooled worker (keep_pool)
             # outlives an out_dir that the caller deleted and recreated
             os.makedirs(self.out_dir, exist_ok=True)
-            final = os.path.join(self.out_dir, data_file)
-            tmp = final + f".tmp{os.getpid()}"
-            pq.write_table(out, tmp)
-            os.replace(tmp, final)
+            publish(os.path.join(self.out_dir, data_file),
+                    lambda tmp: pq.write_table(out, tmp))
             manifest = {
                 "shard": stem,
                 "data_file": data_file,
@@ -150,11 +103,7 @@ class ShardWorker:
                 "engine_version": __version__,
                 "run_meta": self.run_meta,
             }
-            mfinal = os.path.join(self.out_dir, f"shard-{stem}{MANIFEST_SUFFIX}")
-            mtmp = mfinal + f".tmp{os.getpid()}"
-            with open(mtmp, "w") as f:
-                json.dump(manifest, f, sort_keys=True)
-            os.replace(mtmp, mfinal)  # the fence
+            fence(self.out_dir, f"shard-{stem}{MANIFEST_SUFFIX}", manifest)
             rows.append(
                 {
                     "shard": stem,
@@ -218,7 +167,6 @@ def run_sharded(
     from ray.util import ActorPool
 
     from ..query_utils import _pool_size, _session_cpus
-    from .guard import validate_sink_dir
 
     global _POOL_CACHE
     out_dir = validate_sink_dir(out_dir)

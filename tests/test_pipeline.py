@@ -197,6 +197,31 @@ def test_resume_after_injected_crash(ray_session, tmp_path, ray_docs):
     shutil.rmtree(out)
 
 
+def test_partition_fences_of_another_count_raise(ray_session, tmp_path):
+    """A sink fenced with P=4 is another layout than P=8: skipping the
+    P=4 fences would keep their rows and write them again under the new
+    pids, so both directions raise and name both counts."""
+    import ray.data
+
+    from file_analyzer_ray.state.lineage import completed_partitions, write_partitioned
+    from file_analyzer_ray.state.shards import content_fingerprint
+
+    rows = [{"doc_id": f"doc{i}", "content_hash": f"h{i}"} for i in range(64)]
+    out = str(tmp_path / "out")
+    written = write_partitioned(ray.data.from_items(rows), out, num_partitions=4)
+    assert sorted(m["partition_id"] for m in written) == [0, 1, 2, 3]
+    fences = completed_partitions(out)
+    assert {m["num_partitions"] for m in fences.values()} == {4}
+    total = sum(int(m["output_fingerprint"], 16) for m in fences.values()) % (1 << 128)
+    assert f"{total:032x}" == content_fingerprint(
+        [r["doc_id"] for r in rows], [r["content_hash"] for r in rows])
+    for p in (8, 2):
+        with pytest.raises(ValueError, match=rf"num_partitions=\[4\].*num_partitions={p}"):
+            write_partitioned(ray.data.from_items(rows), out, num_partitions=p)
+    assert write_partitioned(ray.data.from_items(rows), out, num_partitions=4) == []
+    assert sum(pq.read_table(f).num_rows for f in glob.glob(out + "/part-*.parquet")) == 64
+
+
 def test_error_channel_rows_not_exceptions(ray_session):
     """A poisoned document yields a status row, never a failed block."""
     import ray.data
