@@ -32,8 +32,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from .query_utils import (_cents, _meta_rows, _preagg_native,  # noqa: F401
-                          _read, _read_coalesced, key_join,
-                          read_parquet_clean)
+                          _read, gather, key_join, read_parquet_clean)
 
 # family modules (split r5): star-import re-exposes every public q_* /
 # SQL_* name so the registries below and external imports

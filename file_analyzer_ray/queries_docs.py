@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, actor_map, read_parquet_clean)
+                          actor_map, gather, read_parquet_clean)
 
 from .queries_embeddings import q_embeddings_knn  # noqa: F401  (hybrid search fuses both)
 
@@ -741,11 +741,9 @@ def q_docs_decontaminate(sf_dir: str):
         m = ids % 37 == 0
         return t.filter(pa.array(m if probe else ~m))
 
-    probe_texts = (
+    probe_texts = gather(
         ds.map_batches(lambda t: split(t, True), batch_format="pyarrow")
-        .to_pandas()["text"]
-        .tolist()
-    )
+    ).column("text").to_pylist()
     corpus = ds.map_batches(lambda t: split(t, False), batch_format="pyarrow")
     return decontaminate(corpus, probe_gram_set(probe_texts, n=3), n=3)
 
@@ -1041,12 +1039,12 @@ def q_docs_hybrid_search(sf_dir: str):
     knn-ivf-style bounded take, never a corpus materialization)."""
     from .stages.bm25 import bm25_search
 
-    bm = bm25_search(
+    bm = gather(bm25_search(
         _read(sf_dir, "documents", ["doc_id", "text"]),
         ["scan", "merge", "window"],
         topk=20,
-    ).take_all()
-    ann = q_embeddings_knn(sf_dir).take_all()
+    )).to_pylist()
+    ann = gather(q_embeddings_knn(sf_dir)).to_pylist()
 
     contrib: dict[int, float] = {}
     # fixed leg order (bm25 then ann) so float accumulation matches
@@ -1108,8 +1106,7 @@ def q_docs_cms_top_terms(sf_dir: str):
     width, depth = 2048, 4
     sketch, n_total = countmin_sketch(docs, width=width, depth=depth)
     idx = (
-        inverted_index(docs)
-        .select_columns(["term", "total_tf"])
+        gather(inverted_index(docs).select_columns(["term", "total_tf"]))
         .to_pandas()
         .sort_values(["total_tf", "term"], ascending=[False, True])
         .head(10)
@@ -1504,9 +1501,9 @@ def q_docs_negative_sampling_table(sf_dir: str):
             }
         )
 
-    rows = s.map_batches(
+    rows = gather(s.map_batches(
         summ, batch_format="pyarrow", batch_size=None
-    ).take_all()  # bounded: one row per block
+    )).to_pylist()  # bounded: one row per block
     rows.sort(key=lambda r: r["first_term"])
     carries = {}
     acc = 0

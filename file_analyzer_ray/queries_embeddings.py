@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, _rename, read_parquet_clean)
+                          _rename, gather, read_parquet_clean)
 
 
 def q_embeddings_gram(sf_dir: str):
@@ -69,7 +69,7 @@ def q_embeddings_gram(sf_dir: str):
     part = ds.map_batches(
         fold, batch_format="pyarrow", batch_size=65536
     ).map_batches(refold, batch_format="pyarrow", batch_size=65536)
-    merged = refold(pa.concat_tables(ray.get(part.to_arrow_refs())))
+    merged = refold(gather(part))
     return ray.data.from_arrow(merged).sort(["i", "j"])
 
 SQL_EMBEDDINGS_GRAM = """
@@ -92,8 +92,11 @@ def q_embeddings_knn(sf_dir: str):
     """Brute-force cosine top-k against a broadcast query vector:
     pushdown point-read for the query (row-group pruning, no full
     table on the driver), numpy matmul + partial top-k per batch,
-    ONE small merge task instead of an all-to-all sort."""
+    merged on the driver instead of an all-to-all sort."""
     import pyarrow.dataset as pds
+
+    from .query_utils import _top_k
+    from .stages.ann import _SIM_SCHEMA, _merge_topk
 
     k = 10
     qrow = pds.dataset(f"{sf_dir}/embeddings.parquet").to_table(
@@ -101,7 +104,7 @@ def q_embeddings_knn(sf_dir: str):
     )
     qvec = np.array(qrow["embedding"][0].as_py(), dtype=np.float64)
     qref = ray.put(qvec / np.linalg.norm(qvec))
-    ds = _read_coalesced(sf_dir, "embeddings", ["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def fn(t: pa.Table) -> pa.Table:
         # zero-copy matrix: the list<float> column's flat value buffer
@@ -116,26 +119,9 @@ def q_embeddings_knn(sf_dir: str):
         sims = np.round((mat @ q) / np.linalg.norm(mat, axis=1), 4)
         keep = ids != 0
         ids, sims = ids[keep], sims[keep]
-        # partial top-k, same (sim DESC, vec_id ASC) order as the merge
-        order = np.lexsort((ids, -sims))[:k]
-        return pa.Table.from_arrays(
-            [pa.array(ids[order]), pa.array(sims[order])],
-            names=["vec_id", "cosine_sim"],
-        )
+        return _top_k(ids, sims, k, _SIM_SCHEMA)  # partial top-k
 
-    def merge_topk(t: pa.Table) -> pa.Table:
-        ids = t.column("vec_id").to_numpy()
-        sims = t.column("cosine_sim").to_numpy()
-        order = np.lexsort((ids, -sims))[:k]
-        return pa.Table.from_arrays(
-            [pa.array(ids[order]), pa.array(sims[order])],
-            names=["vec_id", "cosine_sim"],
-        )
-
-    scored = ds.map_batches(fn, batch_format="pyarrow")
-    return scored.repartition(1).map_batches(
-        merge_topk, batch_format="pyarrow", batch_size=None
-    )
+    return _merge_topk(ds.map_batches(fn, batch_format="pyarrow"), k)
 
 SQL_EMBEDDINGS_KNN = """
 WITH q AS (SELECT embedding AS qe FROM embeddings WHERE vec_id = 0)
@@ -148,7 +134,7 @@ ORDER BY cosine_sim DESC, e.vec_id LIMIT 10
 """
 
 def q_embeddings_label_stats(sf_dir: str):
-    ds = _read_coalesced(sf_dir, "embeddings", ["label", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["label", "embedding"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
@@ -267,7 +253,7 @@ def q_embeddings_semdedup(sf_dir: str):
     from .query_utils import _meta_rows
     from .stages.semdedup import semdedup
 
-    ds = _read_coalesced(sf_dir, "embeddings", ["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     # input_rows from the parquet footer → mode chosen with no
     # count-the-plan barrier (the exact_dedup_clusters pattern)
     return semdedup(
@@ -351,9 +337,9 @@ def q_embeddings_knn_ivf(sf_dir: str):
     from .stages.ann import knn_ivf
 
     k = 10
-    ivf_rows = knn_ivf(sf_dir, k=k, n_centroids=8, n_probe=4).take_all()
-    ivf_ids = {int(r["vec_id"]) for r in ivf_rows}
-    ivf_n = len(ivf_rows)
+    ivf = gather(knn_ivf(sf_dir, k=k, n_centroids=8, n_probe=4))
+    ivf_ids = set(ivf.column("vec_id").to_pylist())
+    ivf_n = ivf.num_rows
     exact = q_embeddings_knn(sf_dir)
 
     def flag(t: pa.Table) -> pa.Table:
@@ -365,8 +351,8 @@ def q_embeddings_knn_ivf(sf_dir: str):
             .append_column("recall_ok", pa.array([recall >= 0.5] * n))
         )
 
-    # the exact result is one k-row block (repartition(1) merge), so the
-    # recall flag sees the complete top-k in a single batch
+    # the exact result is one k-row block (merged on the driver), so
+    # the recall flag sees the complete top-k in a single batch
     return exact.map_batches(flag, batch_format="pyarrow", batch_size=None)
 
 SQL_EMBEDDINGS_KNN_IVF = """
@@ -395,9 +381,9 @@ def q_embeddings_knn_pq(sf_dir: str):
     k = 10
     lay = build_once("pq", [f"{sf_dir}/embeddings.parquet"],
                      lambda tmp: write_pq_layout(sf_dir, tmp))
-    pq_rows = knn_pq(sf_dir, lay, k=k, rerank=4).take_all()
-    pq_ids = {int(r["vec_id"]) for r in pq_rows}
-    pq_n = len(pq_rows)
+    pq = gather(knn_pq(sf_dir, lay, k=k, rerank=4))
+    pq_ids = set(pq.column("vec_id").to_pylist())
+    pq_n = pq.num_rows
     exact = q_embeddings_knn(sf_dir)
 
     def flag(t: pa.Table) -> pa.Table:
@@ -443,7 +429,7 @@ def q_embeddings_jl_project(sf_dir: str):
             h = int(hashlib.md5(f"jl-{j}-{k}".encode()).hexdigest()[:8], 16)
             sgn[j, k] = 1.0 if h % 2 == 0 else -1.0
     sref = ray.put(sgn / np.sqrt(float(m)))
-    ds = _read_coalesced(sf_dir, "embeddings", ["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def project(t: pa.Table) -> pa.Table:
         s = ray.get(sref)
@@ -497,7 +483,7 @@ def q_embeddings_hard_negatives(sf_dir: str):
     (e.g. SBERT hard-negative mining). Anchors broadcast once via
     ``ray.put``; each batch computes a (A × n) cosine block with one
     BLAS matmul and keeps only per-(anchor, role) partial top-k, so
-    the merge task sees O(batches · A · k) rows — the kNN
+    the driver merges O(batches · A · k) rows — the kNN
     partial-top-k shape (q_embeddings_knn), widened to a role-split
     rank. Cosines round to 4 dp on BOTH sides, ties break by vec_id."""
     import pyarrow.dataset as pds
@@ -515,7 +501,7 @@ def q_embeddings_hard_negatives(sf_dir: str):
     amat = avals.reshape(len(a_ids), -1).astype(np.float64)
     amat /= np.linalg.norm(amat, axis=1, keepdims=True)
     aref = ray.put((a_ids, a_labels, amat))
-    ds = _read_coalesced(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
 
     def topk_rows(ids, sims, kk):
         order = np.lexsort((ids, -sims))[:kk]
@@ -578,11 +564,11 @@ def q_embeddings_hard_negatives(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(fn, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-    )
+    part = gather(ds.map_batches(fn, batch_format="pyarrow"), pa.schema(
+        [("anchor_id", pa.int64()), ("role", pa.string()),
+         ("vec_id", pa.int64()), ("cosine_sim", pa.float64())]
+    ))
+    return ray.data.from_arrow(merge(part))
 
 SQL_EMBEDDINGS_HARD_NEGATIVES = """
 WITH a AS (

@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, _rename, read_parquet_clean)
+                          _rename, gather, read_parquet_clean)
 
 
 def q_events_type_stats(sf_dir: str):
@@ -55,10 +55,10 @@ def q_events_type_stats(sf_dir: str):
             }
         )
 
-    stats = _preagg_native(
+    stats = gather(_preagg_native(
         ds, ["event_type"], partial,
         [Sum("cents"), Min("vmin"), Max("vmax"), Sum("n")], finalize,
-    ).to_pandas()
+    )).to_pandas()
 
     from .query_utils import _distinct_native
 
@@ -70,12 +70,9 @@ def q_events_type_stats(sf_dir: str):
     def merge_count(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("event_type", as_index=False).agg(n_users=("n_users", "sum"))
 
-    users = (
+    users = merge_count(gather(
         pairs.map_batches(partial_count, batch_format="pandas")
-        .repartition(1)
-        .map_batches(merge_count, batch_format="pandas", batch_size=None)
-        .to_pandas()
-    )
+    ).to_pandas())
     out = stats.merge(users, on="event_type", how="left")
     out["n_users"] = out["n_users"].fillna(0).astype("int64")
     return ray.data.from_pandas(out)
@@ -320,7 +317,9 @@ def q_events_users_by_type_approx(sf_dir: str):
         )
 
     exact = (
-        _window_by_key_arrow(dv, ["event_type"], ["event_type", "user_id"], count_runs)
+        gather(_window_by_key_arrow(
+            dv, ["event_type"], ["event_type", "user_id"], count_runs
+        ))
         .to_pandas()
         .sort_values("event_type")
         .reset_index(drop=True)
@@ -490,9 +489,9 @@ def q_events_value_zscore(sf_dir: str):
         )
         return out.groupby("event_type", as_index=False).sum()
 
-    parts = ds.map_batches(
+    parts = gather(ds.map_batches(
         moments, batch_format="pandas", batch_size=65536
-    ).take_all()  # bounded: one row per (block, type)
+    )).to_pylist()  # bounded: one row per (block, type)
     agg: dict[str, list[int]] = {}
     for r in parts:
         a = agg.setdefault(r["event_type"], [0, 0, 0])
@@ -591,9 +590,9 @@ def q_events_table_profile(sf_dir: str):
             names += [f"nn_{c}", f"mn_{c}", f"mx_{c}"]
         return pa.Table.from_arrays(arrs, names=names)
 
-    parts = nds.map_batches(
+    parts = gather(nds.map_batches(
         partial, batch_format="pyarrow", batch_size=None
-    ).take_all()  # bounded: one tiny row per block
+    )).to_pylist()  # bounded: one tiny row per block
     sigma3 = 3 * 1.04 / (1 << 12) ** 0.5
 
     rows = []
@@ -726,7 +725,7 @@ def q_events_markov(sf_dir: str):
         ["user_id", "tu", "event_id"],
         transitions,
     ).map_batches(_counts, batch_format="pyarrow", batch_size=65536)
-    merged = _counts(pa.concat_tables(ray.get(part.to_arrow_refs())))
+    merged = _counts(gather(part))
     return ray.data.from_arrow(merged).sort(["from_type", "to_type"])
 
 def q_events_rolling_active_users(sf_dir: str):
@@ -766,9 +765,7 @@ def q_events_rolling_active_users(sf_dir: str):
     def hours_only(t: pa.Table) -> pa.Table:
         return t.select(["h"]).group_by(["h"]).aggregate([])
 
-    observed = pa.concat_tables(
-        ray.get(pres.map_batches(hours_only, batch_format="pyarrow").to_arrow_refs())
-    )
+    observed = gather(pres.map_batches(hours_only, batch_format="pyarrow"))
     hour_set = np.unique(observed.column("h").to_numpy(zero_copy_only=False))
 
     def fan_out(t: pa.Table) -> pa.Table:
@@ -803,7 +800,7 @@ def q_events_rolling_active_users(sf_dir: str):
     part = served.map_batches(
         counts, batch_format="pyarrow", batch_size=65536
     ).map_batches(recount, batch_format="pyarrow", batch_size=65536)
-    merged = recount(pa.concat_tables(ray.get(part.to_arrow_refs())))
+    merged = recount(gather(part))
     return ray.data.from_arrow(merged).sort("hour")
 
 def q_events_hourly_regression(sf_dir: str):
@@ -857,7 +854,7 @@ def q_events_hourly_regression(sf_dir: str):
     part = ds.map_batches(
         fold, batch_format="pyarrow", batch_size=65536
     ).map_batches(refold, batch_format="pyarrow", batch_size=65536)
-    m = refold(pa.concat_tables(ray.get(part.to_arrow_refs()))).to_pandas()
+    m = refold(gather(part)).to_pandas()
     n = m["n"].astype(float)
     cov = n * m["sxy"] - m["sx"] * m["sy"]
     varx = n * m["sxx"] - m["sx"] ** 2
@@ -946,7 +943,7 @@ def q_events_chi2_independence(sf_dir: str):
     ).map_batches(partial_merge := (
         lambda df: df.groupby(["dow", "event_type"], as_index=False).sum()
     ), batch_format="pandas", batch_size=65536)
-    fine = partial_merge(part.to_pandas())
+    fine = partial_merge(gather(part).to_pandas())
     nn = float(fine["n"].sum())
     rn = fine.groupby("event_type")["n"].transform("sum").astype(float)
     cn = fine.groupby("dow")["n"].transform("sum").astype(float)
@@ -1057,7 +1054,7 @@ def q_events_value_percentiles_approx(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
     approx = approx_quantiles(ds, "value", by="event_type", qs=(0.5, 0.9))
-    exact = q_events_value_percentiles(sf_dir).to_pandas()
+    exact = gather(q_events_value_percentiles(sf_dir)).to_pandas()
     m = exact.merge(approx, on="event_type")
     ok = (
         ((m["q50"] - m["median_value"]).abs() <= 2 * m["bin_width"] + 1e-9)
@@ -1189,7 +1186,9 @@ def q_events_dow_type_cube(sf_dir: str):
         )
 
     part = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    return part.repartition(1).map_batches(merge, batch_format="pandas", batch_size=None)
+    schema = pa.schema([("dow", pa.string()), ("event_type", pa.string()),
+                        ("cents", pa.int64()), ("n", pa.int64())])
+    return ray.data.from_pandas(merge(gather(part, schema).to_pandas()))
 
 SQL_EVENTS_DOW_TYPE_CUBE = """
 SELECT coalesce(CAST(isodow(ts) AS VARCHAR), 'ALL') AS dow,
@@ -1598,9 +1597,9 @@ def q_events_user_gini(sf_dir: str):
             }
         )
 
-    blocks = s.map_batches(
+    blocks = gather(s.map_batches(
         block_summary, batch_format="pyarrow", batch_size=None
-    ).take_all()  # bounded: one row per block
+    )).to_pylist()  # bounded: one row per block
     blocks.sort(key=lambda b: (b["first_n"], b["first_uid"]))
     S = tot = cnt = 0
     for b in blocks:
@@ -1690,9 +1689,9 @@ def q_events_winsorize(sf_dir: str):
     # order = the sort order of each block's FULL first sort key
     # (event_type, value, event_id) — event_id alone does NOT order
     # blocks, ids are uncorrelated with the (type, value) sort
-    summary = s.map_batches(
+    summary = gather(s.map_batches(
         block_summary, batch_format="pyarrow", batch_size=None
-    ).take_all()
+    )).to_pylist()
     order = {}
     for row in summary:
         key = (row["first_type"], row["first_value"], row["first_id"])
@@ -1759,9 +1758,9 @@ def q_events_winsorize(sf_dir: str):
             }
         )
 
-    th_rows = s.map_batches(
+    th_rows = gather(s.map_batches(
         pick, batch_format="pyarrow", batch_size=None
-    ).take_all()  # bounded: 2 × |types|
+    )).to_pylist()  # bounded: 2 × |types|
     lo = {r["event_type"]: r["threshold"] for r in th_rows if r["which"] == "lo"}
     hi = {r["event_type"]: r["threshold"] for r in th_rows if r["which"] == "hi"}
     tref = ray.put((lo, hi))

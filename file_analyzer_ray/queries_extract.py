@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, read_parquet_clean)
+                          gather, read_parquet_clean)
 
 
 def q_media_features(sf_dir: str):

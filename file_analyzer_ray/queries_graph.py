@@ -15,7 +15,7 @@ import ray  # noqa: F401
 import ray.data  # noqa: F401
 
 from .query_utils import (_cents, _preagg_native, _read,  # noqa: F401
-                          _read_coalesced, _rename, read_parquet_clean)
+                          _rename, gather, read_parquet_clean)
 
 
 def q_graph_pagerank(sf_dir: str):

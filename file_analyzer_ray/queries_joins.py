@@ -36,7 +36,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from .query_utils import _cents, _meta_rows, _preagg_native, _read, key_join
+from .query_utils import _cents, _meta_rows, _preagg_native, _read, gather, key_join
 
 # ---------------------------------------------------------------------------
 # distributed equi-joins (query_utils.key_join)
@@ -472,7 +472,10 @@ def q_orders_status_pivot(sf_dir: str):
         )
 
     part = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    return part.repartition(1).map_batches(merge, batch_format="pandas", batch_size=None)
+    schema = pa.schema(
+        [("s", pa.string()), ("cents", pa.int64()), ("n", pa.int64())]
+    )
+    return ray.data.from_pandas(merge(gather(part, schema).to_pandas()))
 
 
 SQL_ORDERS_STATUS_PIVOT = """
@@ -640,7 +643,7 @@ def q_events_funnel(sf_dir: str, window_hours: int = 24):
     by (user_id, ts, event_id), then a fully vectorized per-user-run
     pass — first-view / first-qualifying-click / first-qualifying-
     purchase are each a where + minimum.reduceat, no per-user Python.
-    Blocks emit 3-count partials; one tiny merge task sums them. Exact
+    Blocks emit 3-count partials; the driver sums them. Exact
     integer microsecond semantics throughout (no float thresholds —
     the ADVICE r3 split-threshold class is designed out)."""
     from .query_utils import _window_by_key_arrow
@@ -712,9 +715,7 @@ def q_events_funnel(sf_dir: str, window_hours: int = 24):
             schema=_EMPTY,
         )
 
-    return partials.repartition(1).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
-    )
+    return ray.data.from_arrow(merge(gather(partials, _EMPTY)))
 
 
 def q_events_retention(sf_dir: str):

@@ -65,6 +65,33 @@ def read_parquet_clean(paths=None, *args, **kwargs) -> "ray.data.Dataset":
     )
 
 
+def gather(ds: "ray.data.Dataset",
+           schema: "pa.Schema | None" = None) -> "pa.Table":
+    """The engine's one way to pull a bounded Dataset into the driver:
+    one Arrow table from its blocks (one ``ray.get`` of the block refs;
+    no Python dict rows). A pandas block is converted to Arrow here, in
+    the driver: ``Dataset.to_arrow_refs`` would start one remote task
+    per pandas block (measured +0.2 s on the 2-CPU near-dup verify).
+    Untyped empty blocks (no columns) are dropped and schema metadata
+    is stripped; blocks whose empty columns came out ``null``-typed are
+    promoted to their siblings' types. With no typed block — Ray Data
+    never calls a ``map_batches`` fn on an empty block, so a partial
+    over an empty input yields none — the result is
+    ``schema.empty_table()``, or a table with no columns when
+    ``schema`` is None."""
+    from ray.data.block import BlockAccessor
+
+    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    blocks = [
+        _strip_schema_meta(BlockAccessor.for_block(b).to_arrow())
+        for b in ray.get(refs)
+    ]
+    blocks = [b for b in blocks if b.num_columns]
+    if not blocks:
+        return schema.empty_table() if schema is not None else pa.table({})
+    return pa.concat_tables(blocks, promote_options="default")
+
+
 def _pin_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Materialize + HARD lineage cut for iterative operators:
     ``from_arrow_refs`` over the materialized blocks yields a fresh
@@ -98,10 +125,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None,
     )
 
 
-#: backwards-compat alias — _read now right-sizes blocks itself
-_read_coalesced = _read
-
-
 def _cents(x: pd.Series) -> pd.Series:
     return np.round(x.to_numpy() * 100).astype(np.int64)
 
@@ -119,28 +142,60 @@ def _meta_rows(sf_dir: str, table: str) -> int:
     return pq.read_metadata(f"{sf_dir}/{table}.parquet").num_rows
 
 
+def _merge_partials(part, keys: list[str], merge, *, input_rows, threshold,
+                    combine=None):
+    """The windowed↔in-process merge switch over per-block partials
+    keyed by ``keys``; ``merge(df: pandas.DataFrame)`` returns a pandas
+    frame or an Arrow table and must accept an empty frame.
+
+    - windowed, when ``input_rows`` is known and above ``threshold``:
+      the sorted-run primitive (:func:`_window_by_key_arrow`) merges
+      complete key groups per block, so no single process ever holds
+      the full key space, and no per-key machinery runs (Ray 2.49's
+      ``groupby().aggregate`` measures ~1-2 ms PER KEY);
+    - in-process otherwise: the partials (re-reduced per 65536-row
+      batch by ``combine`` when given) are pulled with :func:`gather`
+      and merged on the driver — no AllToAll barrier (a
+      ``repartition(1)`` merge task measured ~0.5-0.8 s of fixed
+      exchange latency per query in an earlier round).
+
+    Logs one JSON decision record (branch, ``input_rows``, threshold)
+    on this module's logger at INFO."""
+    windowed = input_rows is not None and input_rows > threshold
+    _log.info(json.dumps({
+        "op": "merge_partials", "keys": keys,
+        "branch": "windowed" if windowed else "in_process",
+        "input_rows": input_rows, "threshold": threshold,
+    }))
+    if windowed:
+        return _window_by_key_arrow(
+            part, keys, keys, lambda t: merge(t.to_pandas())
+        )
+    if combine is not None:
+        part = part.map_batches(combine, batch_format="pandas", batch_size=65536)
+    out = merge(gather(part).to_pandas())
+    if isinstance(out, pd.DataFrame):
+        return ray.data.from_pandas(out)
+    return ray.data.from_arrow(out)
+
+
 def _preagg_native(ds, keys: list[str], partial, aggs, finalize,
                    input_rows: "int | None" = None,
                    windowed_threshold: int = _WINDOWED_MERGE_INPUT_ROWS):
     """Two-level aggregation with NO per-group Python: partial-aggregate
     inside map_batches (the combiner — each batch reduces to ≤ one row
-    per key), cascade-combine the partials, then finalize vectorized.
-
-    The merge path is chosen STATICALLY — no materialize-and-count
-    barrier, the plan streams end-to-end:
+    per key), then merge and finalize vectorized through
+    :func:`_merge_partials`. The merge path is chosen STATICALLY — no
+    materialize-and-count barrier:
 
     - default: a cascade combine (``map_batches`` re-reducing ~65k
-      partial rows at a time) followed by ONE merge task. For
-      bounded-cardinality keys this scales to any input size — rows
-      into the final task are O(partial_blocks/65536 × num_groups).
+      partial rows at a time), then the merge in-process on the driver.
+      The rows pulled are ≤ ceil(partial_blocks/65536) × num_groups, so
+      for bounded-cardinality keys this scales to any input size.
     - callers whose KEY CARDINALITY scales with the corpus (per-order,
       per-term, per-content-hash keys) pass ``input_rows`` (free from
       parquet footer metadata via :func:`_meta_rows`); above
-      ``windowed_threshold`` the merge instead runs as sort-by-key +
-      per-block pandas groupby over complete key groups
-      (:func:`_window_by_key_arrow`) — no single task ever holds the
-      full key space, and no per-key machinery (Ray 2.49's native
-      ``groupby().aggregate`` measures ~1-2 ms PER KEY).
+      ``windowed_threshold`` the merge runs windowed instead.
 
     ``aggs`` are ``ray.data.aggregate`` objects (Sum/Min/Max); Ray's
     output naming (``sum(col)``) is reproduced in the merge so
@@ -162,20 +217,23 @@ def _preagg_native(ds, keys: list[str], partial, aggs, finalize,
         return finalize(g)
 
     part = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-    if input_rows is not None and input_rows > windowed_threshold:
-        return _window_by_key_arrow(
-            part, keys, keys, lambda t: merge(t.to_pandas())
-        )
-    part = part.map_batches(combine, batch_format="pandas", batch_size=65536)
-    # Final merge runs IN-PROCESS on the cascade output. The rows pulled
-    # are provably ≤ ceil(partial_blocks/65536) × num_groups — exactly
-    # the rows a repartition(1) merge task would hold — but skipping the
-    # AllToAll barrier saves ~0.5-0.8 s of fixed exchange latency per
-    # query (measured: the barrier dominated every bounded-key aggregate
-    # at sf scale). Unbounded key cardinality never reaches this line —
-    # it takes the windowed sort + run-scan path above.
-    merged = merge(part.to_pandas())
-    return ray.data.from_pandas(merged)
+    return _merge_partials(
+        part, keys, merge, input_rows=input_rows,
+        threshold=windowed_threshold, combine=combine,
+    )
+
+
+def _top_k(ids: np.ndarray, scores: np.ndarray, k: int,
+           schema: "pa.Schema") -> "pa.Table":
+    """The ``k`` best ``(id, score)`` pairs by score DESC, then id ASC
+    (a total order, so a per-batch partial top-k never drops a row the
+    global top-k keeps), as a two-column table of ``schema``."""
+    order = np.lexsort((ids, -scores))[:k]
+    return pa.Table.from_arrays(
+        [pa.array(ids[order], schema.field(0).type),
+         pa.array(scores[order], schema.field(1).type)],
+        schema=schema,
+    )
 
 
 def _rename(t: "pa.Table", names: "dict[str, str]") -> "pa.Table":
@@ -430,14 +488,9 @@ def _broadcast_side(right, key: str, how: str):
     or repeats a key (``index_in`` returns only the first match)."""
     import pyarrow.compute as pc
 
-    blocks = [
-        _strip_schema_meta(b)
-        for b in ray.get(right.to_arrow_refs())
-        if b.num_columns
-    ]
-    if not blocks:
+    t = gather(right)
+    if not t.num_columns:
         return None if how == "inner" else (pa.array([], pa.null()), None)
-    t = pa.concat_tables(blocks)
     t = t.filter(pc.is_valid(t.column(key)))
     keys = t.column(key).combine_chunks()
     if how != "inner":

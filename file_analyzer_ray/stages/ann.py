@@ -17,11 +17,17 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray
 import ray.data
 
-from ..query_utils import read_parquet_clean
+from ..query_utils import _top_k, gather, read_parquet_clean
+
+#: the (vec_id, cosine_sim) result of every top-k search here
+_SIM_SCHEMA = pa.schema([("vec_id", pa.int64()), ("cosine_sim", pa.float64())])
+#: the per-batch candidates of the SQ8 / PQ scans
+_APPROX_SCHEMA = pa.schema([("vec_id", pa.int64()), ("approx_sim", pa.float64())])
 
 
 def kmeans_fit(x: np.ndarray, k: int, iters: int = 10, seed: int = 42) -> np.ndarray:
@@ -106,33 +112,30 @@ def knn_ivf(
         keep = np.array([a in cells for a in assign])
         keep &= (df["vec_id"] != query_vec_id).to_numpy()
         if not keep.any():
-            return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
-                                 "cosine_sim": pd.Series([], dtype="float64")})
+            return _SIM_SCHEMA.empty_table()
         mat = mat[keep]
         sims = (mat @ q) / np.linalg.norm(mat, axis=1)
-        out = pd.DataFrame(
-            {"vec_id": df["vec_id"].to_numpy()[keep], "cosine_sim": np.round(sims, 4)}
-        )
-        # per-batch partial top-k before the global merge — same
-        # (sim DESC, vec_id ASC) order as the merge, so a tied row with
-        # a smaller vec_id can never be dropped pre-merge (ADVICE r2)
-        return out.sort_values(
-            ["cosine_sim", "vec_id"], ascending=[False, True]
-        ).head(k)
+        # per-batch partial top-k before the global merge, in the same
+        # total order (ADVICE r2: a tied smaller vec_id is never dropped)
+        ids = df["vec_id"].to_numpy()[keep]
+        return _top_k(ids, np.round(sims, 4), k, _SIM_SCHEMA)
 
     # Per-batch partial top-k happened in ``score``; the global merge
-    # is ONE small task over O(num_batches × k) rows — no all-to-all
+    # runs on the driver over O(num_batches × k) rows — no all-to-all
     # sort for a k-row answer (VERDICT r1: Ray sort dominated the
     # 10-row result).
-    def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(
-            ["cosine_sim", "vec_id"], ascending=[False, True]
-        ).head(k).reset_index(drop=True)
-
     scored = ds.map_batches(score, batch_format="pandas")
-    return scored.repartition(1).map_batches(
-        merge_topk, batch_format="pandas", batch_size=None
-    )
+    return _merge_topk(scored, k)
+
+
+def _merge_topk(scored: "ray.data.Dataset", k: int) -> "ray.data.Dataset":
+    """Global top-k of per-batch partial top-k ``(vec_id,
+    cosine_sim)`` rows, merged on the driver."""
+    t = gather(scored, _SIM_SCHEMA)
+    return ray.data.from_arrow(_top_k(
+        t.column("vec_id").to_numpy(), t.column("cosine_sim").to_numpy(),
+        k, _SIM_SCHEMA,
+    ))
 
 
 def write_ivf_layout(
@@ -199,12 +202,7 @@ def knn_ivf_layout(
         )
     ]
     if not paths:
-        import pyarrow as pa
-
-        return ray.data.from_arrow(pa.Table.from_pylist(
-            [], schema=pa.schema([("vec_id", pa.int64()),
-                                  ("cosine_sim", pa.float64())])
-        ))
+        return ray.data.from_arrow(_SIM_SCHEMA.empty_table())
     qref = ray.put(qn)
     ds = read_parquet_clean(paths, columns=["vec_id", "embedding"])
 
@@ -212,26 +210,14 @@ def knn_ivf_layout(
         q = ray.get(qref)
         keep = (df["vec_id"] != query_vec_id).to_numpy()
         if not keep.any():
-            return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
-                                 "cosine_sim": pd.Series([], dtype="float64")})
+            return _SIM_SCHEMA.empty_table()
         mat = np.stack(df["embedding"].to_numpy()[keep]).astype(np.float64)
         sims = (mat @ q) / np.linalg.norm(mat, axis=1)
-        out = pd.DataFrame(
-            {"vec_id": df["vec_id"].to_numpy()[keep],
-             "cosine_sim": np.round(sims, 4)}
-        )
-        return out.sort_values(
-            ["cosine_sim", "vec_id"], ascending=[False, True]
-        ).head(k)
+        ids = df["vec_id"].to_numpy()[keep]
+        return _top_k(ids, np.round(sims, 4), k, _SIM_SCHEMA)
 
-    def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(
-            ["cosine_sim", "vec_id"], ascending=[False, True]
-        ).head(k).reset_index(drop=True)
-
-    return ds.map_batches(score, batch_format="pandas").repartition(1).map_batches(
-        merge_topk, batch_format="pandas", batch_size=None
-    )
+    scored = ds.map_batches(score, batch_format="pandas")
+    return _merge_topk(scored, k)
 
 
 #: above this input row count the exact all-pairs path (whole-table
@@ -323,8 +309,6 @@ def lsh_near_dup_pairs(
         return pd.DataFrame({"band": out_band, "vec_id": out_id, "vec": out_vec})
 
     def cosine_kernel(t: "pa.Table") -> "pa.Table":
-        import pyarrow as pa
-
         ids = t.column("vec_id").to_numpy()
         vecs = t.column("vec").to_numpy(zero_copy_only=False)
         starts, ends = run_bounds(t.column("band").to_numpy())
@@ -348,8 +332,6 @@ def lsh_near_dup_pairs(
             ],
             names=["vec_id_a", "vec_id_b", "cosine_sim"],
         )
-
-    import pyarrow as pa
 
     cands = ds.map_batches(explode, batch_format="pandas")
     pairs = banded_pairs(
@@ -391,8 +373,6 @@ def write_sq8_layout(sf_dir: str, out_dir: str) -> str:
     write_ivf_layout / state/bucketed.py)."""
     import os
 
-    import pyarrow as pa
-
     from ..state.guard import validate_sink_dir
 
     out_dir = validate_sink_dir(out_dir)
@@ -432,17 +412,13 @@ def knn_sq8(
     """Top-k cosine neighbors over a :func:`write_sq8_layout` store:
     the SCAN reads only int8 codes (4x less IO), scores approximate
     cosine on the dequantized vectors, keeps a per-batch partial
-    top-(k*rerank), merges in one small task, then RE-RANKS the
+    top-(k*rerank), merges them on the driver, then RE-RANKS the
     surviving candidates with their EXACT embeddings (pushdown isin
     point-read of <= k*rerank rows — bounded by construction, like the
     query-vector point read). Returned scores are exact, so with
     ``rerank`` covering the table the result is bit-identical to the
     brute-force path (pytest pins this)."""
     import os
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pds
 
     params = np.load(os.path.join(layout_dir, "sq8_params.npy"))
     mins, scales = params[0], params[1]
@@ -456,53 +432,48 @@ def knn_sq8(
         ids = t.column("vec_id").to_numpy(zero_copy_only=False)
         keep = ids != query_vec_id
         if not keep.any():
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.float64())],
-                names=["vec_id", "approx_sim"],
-            )
+            return _APPROX_SCHEMA.empty_table()
         codes_col = t.column("codes")
         if isinstance(codes_col, pa.ChunkedArray):
             codes_col = codes_col.combine_chunks()
         raw = np.frombuffer(b"".join(codes_col.to_pylist()), dtype=np.uint8)
         mat = raw.reshape(len(t), len(m)).astype(np.float64)[keep] * s + m
         sims = (mat @ q) / np.linalg.norm(mat, axis=1)
-        order = np.lexsort((ids[keep], -sims))[:n_cand]
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids[keep][order].astype(np.int64)),
-                pa.array(sims[order]),
-            ],
-            names=["vec_id", "approx_sim"],
-        )
-
-    def merge_candidates(t: "pa.Table") -> "pa.Table":
-        ids = t.column("vec_id").to_numpy(zero_copy_only=False)
-        sims = t.column("approx_sim").to_numpy()
-        order = np.lexsort((ids, -sims))[:n_cand]
-        # exact rerank of the bounded candidate set
-        cand = ids[order]
-        exact = pds.dataset(f"{sf_dir}/embeddings.parquet").to_table(
-            columns=["vec_id", "embedding"],
-            filter=pc.field("vec_id").isin(cand.tolist()),
-        )
-        eids = exact["vec_id"].to_numpy(zero_copy_only=False)
-        mat = np.asarray(
-            exact["embedding"].combine_chunks().values, dtype=np.float64
-        ).reshape(len(eids), -1)
-        es = np.round((mat @ qn) / np.linalg.norm(mat, axis=1), 4)
-        top = np.lexsort((eids, -es))[:k]
-        return pa.Table.from_arrays(
-            [pa.array(eids[top].astype(np.int64)), pa.array(es[top])],
-            names=["vec_id", "cosine_sim"],
-        )
+        return _top_k(ids[keep], sims, n_cand, _APPROX_SCHEMA)
 
     codes = read_parquet_clean(
         layout_dir, columns=["vec_id", "codes"], file_extensions=["parquet"]
     )
     part = codes.map_batches(approx_score, batch_format="pyarrow")
-    return part.repartition(1).map_batches(
-        merge_candidates, batch_format="pyarrow", batch_size=None
+    return ray.data.from_arrow(_rerank_exact(part, sf_dir, qn, k, n_cand))
+
+
+def _rerank_exact(part: "ray.data.Dataset", sf_dir: str, qn: np.ndarray,
+                  k: int, n_cand: int) -> "pa.Table":
+    """Merge per-batch partial top-``n_cand`` ``(vec_id, approx_sim)``
+    rows on the driver, then re-rank the surviving candidates with
+    their EXACT embeddings (a pushdown isin point-read of ≤ ``n_cand``
+    rows): the top-k ``(vec_id, cosine_sim)``."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pds
+
+    t = gather(part)
+    if t.num_rows == 0:
+        return _SIM_SCHEMA.empty_table()
+    ids = t.column("vec_id").to_numpy(zero_copy_only=False)
+    sims = t.column("approx_sim").to_numpy()
+    order = np.lexsort((ids, -sims))[:n_cand]
+    cand = ids[order]
+    exact = pds.dataset(f"{sf_dir}/embeddings.parquet").to_table(
+        columns=["vec_id", "embedding"],
+        filter=pc.field("vec_id").isin(cand.tolist()),
     )
+    eids = exact["vec_id"].to_numpy(zero_copy_only=False)
+    mat = np.asarray(
+        exact["embedding"].combine_chunks().values, dtype=np.float64
+    ).reshape(len(eids), -1)
+    es = np.round((mat @ qn) / np.linalg.norm(mat, axis=1), 4)
+    return _top_k(eids, es, k, _SIM_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +526,6 @@ def write_pq_layout(sf_dir: str, out_dir: str, m: int = 8) -> str:
     vectorized, no per-row work."""
     import os
 
-    import pyarrow as pa
-
     from ..state.guard import validate_sink_dir
 
     out_dir = validate_sink_dir(out_dir)
@@ -607,16 +576,12 @@ def knn_pq(
     """Top-k cosine neighbors over a :func:`write_pq_layout` store:
     the scan reads only M-byte codes (32x less IO than raw float32),
     ADC-scores every row (M lookup-table gathers + reconstructed-norm
-    correction), keeps a per-batch partial top-(k*rerank), merges in
-    one small task, then RE-RANKS the surviving candidates with their
+    correction), keeps a per-batch partial top-(k*rerank), merges them
+    on the driver, then RE-RANKS the surviving candidates with their
     EXACT embeddings (bounded isin point-read, the knn_sq8 shape).
     Returned scores are exact, so with ``rerank`` covering the table
     the result is bit-identical to brute force (pytest pins this)."""
     import os
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pds
 
     codebooks = np.load(os.path.join(layout_dir, "pq_codebooks.npy"))
     n_sub = codebooks.shape[0]
@@ -636,10 +601,7 @@ def knn_pq(
         ids = t.column("vec_id").to_numpy(zero_copy_only=False)
         keep = ids != query_vec_id
         if not keep.any():
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.float64())],
-                names=["vec_id", "approx_sim"],
-            )
+            return _APPROX_SCHEMA.empty_table()
         codes_col = t.column("codes")
         if isinstance(codes_col, pa.ChunkedArray):
             codes_col = codes_col.combine_chunks()
@@ -649,39 +611,10 @@ def knn_pq(
         dot = lt[rows, codes].sum(axis=1)
         norm = np.sqrt(sq[rows, codes].sum(axis=1))
         sims = dot / np.maximum(norm, 1e-12)
-        order = np.lexsort((ids[keep], -sims))[:n_cand]
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids[keep][order].astype(np.int64)),
-                pa.array(sims[order]),
-            ],
-            names=["vec_id", "approx_sim"],
-        )
-
-    def merge_candidates(t: "pa.Table") -> "pa.Table":
-        ids = t.column("vec_id").to_numpy(zero_copy_only=False)
-        sims = t.column("approx_sim").to_numpy()
-        order = np.lexsort((ids, -sims))[:n_cand]
-        cand = ids[order]
-        exact = pds.dataset(f"{sf_dir}/embeddings.parquet").to_table(
-            columns=["vec_id", "embedding"],
-            filter=pc.field("vec_id").isin(cand.tolist()),
-        )
-        eids = exact["vec_id"].to_numpy(zero_copy_only=False)
-        mat = np.asarray(
-            exact["embedding"].combine_chunks().values, dtype=np.float64
-        ).reshape(len(eids), -1)
-        es = np.round((mat @ qn) / np.linalg.norm(mat, axis=1), 4)
-        top = np.lexsort((eids, -es))[:k]
-        return pa.Table.from_arrays(
-            [pa.array(eids[top].astype(np.int64)), pa.array(es[top])],
-            names=["vec_id", "cosine_sim"],
-        )
+        return _top_k(ids[keep], sims, n_cand, _APPROX_SCHEMA)
 
     codes = read_parquet_clean(
         layout_dir, columns=["vec_id", "codes"], file_extensions=["parquet"]
     )
     part = codes.map_batches(adc_score, batch_format="pyarrow")
-    return part.repartition(1).map_batches(
-        merge_candidates, batch_format="pyarrow", batch_size=None
-    )
+    return ray.data.from_arrow(_rerank_exact(part, sf_dir, qn, k, n_cand))

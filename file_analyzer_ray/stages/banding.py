@@ -40,7 +40,7 @@ def _col_np(t: pa.Table, name: str) -> np.ndarray:
 def banded_pairs(
     bands: "ray.data.Dataset",
     pair_kernel,
-    out_schema: "pa.Schema | dict",
+    out_schema: pa.Schema,
 ) -> "ray.data.Dataset":
     """bands(band, doc_id, <value cols>) → pair dataset.
 
@@ -48,11 +48,6 @@ def banded_pairs(
     buckets sorted by band and must return a ``pa.Table`` with
     ``out_schema`` (used for empty blocks). It must be vectorized over
     bucket runs (use :func:`run_bounds`)."""
-    if isinstance(out_schema, dict):  # legacy name→dtype-string spec
-        out_schema = pa.schema(
-            [(c, pa.from_numpy_dtype(np.dtype(d))) for c, d in out_schema.items()]
-        )
-
     def kernel(t: pa.Table) -> pa.Table:
         return pair_kernel(t) if t.num_rows else out_schema.empty_table()
 

@@ -90,7 +90,11 @@ def build_bloom(ds, column: str, log2_m: int = 24, k: int = 4) -> BloomFilter:
         bf.add(keys_i64(df[column].to_numpy()))
         return pd.DataFrame({"bits": [bf.bits.tobytes()]})
 
-    parts = ds.map_batches(partial, batch_format="pandas", batch_size=65536).take_all()
+    from ..query_utils import gather
+
+    parts = gather(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
+    ).to_pylist()
     out = BloomFilter(log2_m, k)
     for r in parts:
         out.bits |= np.frombuffer(r["bits"], dtype=np.uint8)

@@ -24,8 +24,8 @@ global is ever exchanged:
    row; the driver sums a blocks-count-bounded handful of rows —
    bytes ∝ T, never ∝ corpus;
 3. one more row-local pass scores every doc against the broadcast
-   stats and keeps a per-batch partial top-k; a single merge task
-   finishes (the kNN partial-top-k shape).
+   stats and keeps a per-batch partial top-k; the driver merges them
+   (the kNN partial-top-k shape).
 
 Zero sorts of the corpus, zero joins, two streaming passes over a
 projection that is ~20 bytes/doc.
@@ -45,8 +45,11 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..query_utils import _top_k, gather
+
 _K1 = 1.2
 _B = 0.75
+_RESULT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("bm25", pa.float64())])
 
 
 def _features(terms: "list[str]"):
@@ -113,13 +116,14 @@ def bm25_search(
             names.append(f"df{i}")
         return pa.Table.from_arrays(arrs, names=names)
 
-    parts = feat.map_batches(
+    parts = gather(feat.map_batches(
         stats_partial, batch_format="pyarrow", batch_size=None
-    ).take_all()  # bounded: one tiny row per block
-    n_docs = sum(r["n"] for r in parts)
-    avgdl = sum(r["sum_dl"] for r in parts) / n_docs
+    ))  # bounded: one tiny row per block
+    n_docs = pc.sum(parts.column("n")).as_py()
+    avgdl = pc.sum(parts.column("sum_dl")).as_py() / n_docs
     df = np.array(
-        [sum(r[f"df{i}"] for r in parts) for i in range(nt)], dtype=np.float64
+        [pc.sum(parts.column(f"df{i}")).as_py() for i in range(nt)],
+        dtype=np.float64,
     )
     idf = np.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
     ref = ray.put((idf, avgdl))
@@ -137,25 +141,11 @@ def bm25_search(
         s = np.round(s, 4)
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         keep = s > 0
-        order = np.lexsort((ids[keep], -s[keep]))[:topk]
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids[keep][order].astype(np.int64)),
-                pa.array(s[keep][order]),
-            ],
-            names=["doc_id", "bm25"],
-        )
-
-    def merge(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        s = t.column("bm25").to_numpy()
-        order = np.lexsort((ids, -s))[:topk]
-        return pa.Table.from_arrays(
-            [pa.array(ids[order], pa.int64()), pa.array(s[order])],
-            names=["doc_id", "bm25"],
-        )
+        return _top_k(ids[keep], s[keep], topk, _RESULT_SCHEMA)
 
     part = feat.map_batches(score_partial, batch_format="pyarrow")
-    return part.repartition(1).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
-    )
+    t = gather(part, _RESULT_SCHEMA)
+    return ray.data.from_arrow(_top_k(
+        t.column("doc_id").to_numpy(), t.column("bm25").to_numpy(),
+        topk, _RESULT_SCHEMA,
+    ))

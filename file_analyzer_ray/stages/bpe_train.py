@@ -27,7 +27,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..query_utils import actor_map
+from ..query_utils import actor_map, gather
 
 END = "</w>"
 
@@ -137,7 +137,7 @@ def bpe_train(
     the table it emits); the merge loop runs on the count table
     (vocab-sized — at web scale still the single-node step every
     production BPE trainer uses)."""
-    rows = word_counts(ds, min_count=min_count).take_all()
+    rows = gather(word_counts(ds, min_count=min_count)).to_pylist()
     counts = {r["word"]: r["n"] for r in rows}
     merges = bpe_train_from_counts(counts, num_merges)
     return pa.Table.from_arrays(

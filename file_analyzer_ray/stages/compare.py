@@ -39,7 +39,7 @@ import pyarrow as pa
 import ray.data
 
 from .multimodal import DecodeStage, explode_media, frame_sample, resize_letterbox
-from ..query_utils import actor_map, key_join, read_parquet_clean
+from ..query_utils import actor_map, gather, key_join, read_parquet_clean
 
 # -- metric kernels (pure numpy, public formulas) -------------------------
 
@@ -230,64 +230,73 @@ def pairwise_image_compare(
     # with materialize() the decoded table sits in the object store for
     # the whole query. The parquet checkpoint is the 10^12 shape — the
     # decode cost is paid once, the two join probes stream from storage,
-    # and nothing corpus-sized stays pinned.
+    # and nothing corpus-sized stays pinned. The checkpoint is removed
+    # when the call returns.
+    import shutil
     import tempfile
 
     ckpt = tempfile.mkdtemp(prefix="fa_compare_imgs_")
-    _first_media_images(docs, target).write_parquet(ckpt)
-    imgs = read_parquet_clean(ckpt)
+    try:
+        _first_media_images(docs, target).write_parquet(ckpt)
+        imgs = read_parquet_clean(ckpt)
 
-    # Both joins size their broadcast side from the checkpoint's footers
-    # (one raw RGB thumb per decoded doc): below key_join's bound the
-    # image table rides the object store and no exchange runs; above
-    # it, two hash joins stream from the checkpoint.
-    import glob as _glob
+        # Both joins size their broadcast side from the checkpoint's footers
+        # (one raw RGB thumb per decoded doc): below key_join's bound the
+        # image table rides the object store and no exchange runs; above
+        # it, two hash joins stream from the checkpoint.
+        import glob as _glob
 
-    import pyarrow.parquet as _pq
+        import pyarrow.parquet as _pq
 
-    n_imgs = sum(
-        _pq.read_metadata(f).num_rows
-        for f in _glob.glob(f"{ckpt}/*.parquet")
-    )
-    side = target * target * 3
+        n_imgs = sum(
+            _pq.read_metadata(f).num_rows
+            for f in _glob.glob(f"{ckpt}/*.parquet")
+        )
+        side = target * target * 3
 
-    def rename_a(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["id_a", "img_a"])
+        def rename_a(t: pa.Table) -> pa.Table:
+            return t.rename_columns(["id_a", "img_a"])
 
-    def rename_b(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["id_b", "img_b"])
+        def rename_b(t: pa.Table) -> pa.Table:
+            return t.rename_columns(["id_b", "img_b"])
 
-    ja = key_join(
-        pairs.select_columns(["doc_id_a", "doc_id_b"]),
-        imgs.map_batches(rename_a, batch_format="pyarrow"),
-        on="doc_id_a", right_on="id_a", how="inner",
-        broadcast_bytes=n_imgs * side,
-    )
-    jb = key_join(
-        ja, imgs.map_batches(rename_b, batch_format="pyarrow"),
-        on="doc_id_b", right_on="id_b", how="inner",
-        broadcast_bytes=n_imgs * side,
-    )
+        ja = key_join(
+            pairs.select_columns(["doc_id_a", "doc_id_b"]),
+            imgs.map_batches(rename_a, batch_format="pyarrow"),
+            on="doc_id_a", right_on="id_a", how="inner",
+            broadcast_bytes=n_imgs * side,
+        )
+        jb = key_join(
+            ja, imgs.map_batches(rename_b, batch_format="pyarrow"),
+            on="doc_id_b", right_on="id_b", how="inner",
+            broadcast_bytes=n_imgs * side,
+        )
 
-    def compare(batch: pa.Table) -> pa.Table:
-        out = {k: [] for k in ("doc_id_a", "doc_id_b", "ssim", "mismatch_pct", "identical")}
-        for a, b, ba, bb in zip(
-            batch.column("doc_id_a").to_pylist(),
-            batch.column("doc_id_b").to_pylist(),
-            batch.column("img_a").to_pylist(),
-            batch.column("img_b").to_pylist(),
-        ):
-            if len(ba) != side or len(bb) != side:
-                continue
-            ia = np.frombuffer(ba, dtype=np.uint8).reshape(target, target, 3)
-            ib = np.frombuffer(bb, dtype=np.uint8).reshape(target, target, 3)
-            s = ssim(to_grayscale(ia), to_grayscale(ib))
-            mm = pixel_mismatch_count(ia, ib, pixel_threshold)
-            out["doc_id_a"].append(a)
-            out["doc_id_b"].append(b)
-            out["ssim"].append(round(s, 6))
-            out["mismatch_pct"].append(round(100.0 * mm / (target * target), 4))
-            out["identical"].append(mm == 0)
-        return pa.Table.from_pydict(out, schema=COMPARE_SCHEMA)
+        def compare(batch: pa.Table) -> pa.Table:
+            out = {k: [] for k in ("doc_id_a", "doc_id_b", "ssim", "mismatch_pct", "identical")}
+            for a, b, ba, bb in zip(
+                batch.column("doc_id_a").to_pylist(),
+                batch.column("doc_id_b").to_pylist(),
+                batch.column("img_a").to_pylist(),
+                batch.column("img_b").to_pylist(),
+            ):
+                if len(ba) != side or len(bb) != side:
+                    continue
+                ia = np.frombuffer(ba, dtype=np.uint8).reshape(target, target, 3)
+                ib = np.frombuffer(bb, dtype=np.uint8).reshape(target, target, 3)
+                s = ssim(to_grayscale(ia), to_grayscale(ib))
+                mm = pixel_mismatch_count(ia, ib, pixel_threshold)
+                out["doc_id_a"].append(a)
+                out["doc_id_b"].append(b)
+                out["ssim"].append(round(s, 6))
+                out["mismatch_pct"].append(round(100.0 * mm / (target * target), 4))
+                out["identical"].append(mm == 0)
+            return pa.Table.from_pydict(out, schema=COMPARE_SCHEMA)
 
-    return jb.map_batches(compare, batch_format="pyarrow")
+        # the per-pair result is small: pull it before the checkpoint
+        # it streams from is removed
+        return ray.data.from_arrow(gather(
+            jb.map_batches(compare, batch_format="pyarrow"), COMPARE_SCHEMA
+        ))
+    finally:
+        shutil.rmtree(ckpt, ignore_errors=True)

@@ -48,7 +48,7 @@ import ray.data
 
 from ..functions.hashing import stable_u64
 from ..functions.text import tokenize
-from ..query_utils import _window_by_key_arrow
+from ..query_utils import _window_by_key_arrow, gather
 from .banding import run_bounds
 
 _MAX_BROADCAST_GRAMS = 5_000_000  # ~40 MB of int64 in the object store
@@ -160,7 +160,7 @@ def dup_span_mask(
 
     if mode == "broadcast":
         dup_sorted = np.sort(
-            dup.to_pandas()["g"].to_numpy(dtype=np.int64, copy=False)
+            gather(dup).column("g").to_numpy().astype(np.int64, copy=False)
         )
         ref = ray.put(dup_sorted)
 

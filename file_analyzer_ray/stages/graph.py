@@ -26,7 +26,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..query_utils import _rename, key_join
+from ..query_utils import _rename, gather, key_join
 
 RANK_DECIMALS = 8
 
@@ -109,12 +109,10 @@ def pagerank(
     if mode == "auto":
         mode = "broadcast" if n_nodes <= BROADCAST_NODES_MAX else "join"
     if mode == "broadcast":
-        rows = deg.take_all()
-        node_ids = np.fromiter((r["src"] for r in rows), dtype=np.int64,
-                               count=len(rows))
+        t = gather(deg)
+        node_ids = t.column("src").to_numpy().astype(np.int64)
         order = np.argsort(node_ids)
-        degs = np.fromiter((r["deg"] for r in rows), dtype=np.float64,
-                           count=len(rows))[order]
+        degs = t.column("deg").to_numpy().astype(np.float64)[order]
         return _pagerank_broadcast(
             edges, node_ids[order], degs, damping, iters
         )
@@ -393,7 +391,9 @@ def bfs_source_and_count(edges: "ray.data.Dataset") -> "tuple[int, int]":
     n_nodes = deg.count()
     if n_nodes == 0:
         return -1, 0
-    top = deg.sort(["deg", "src"], descending=[True, False]).limit(1).take_all()
+    top = gather(
+        deg.sort(["deg", "src"], descending=[True, False]).limit(1)
+    ).to_pylist()
     return int(top[0]["src"]), n_nodes
 
 
@@ -477,7 +477,8 @@ def _bfs_broadcast(edges, source: int, max_hops: int) -> pa.Table:
         # bounded collect: ≤ |nodes| rows per batch after the per-batch
         # distinct, ≤ |nodes| total after the driver-side unique
         parts = edges.map_batches(neighbors, batch_format="pyarrow")
-        cand = np.array([r["node"] for r in parts.take_all()], dtype=np.int64)
+        nodes = gather(parts, pa.schema([("node", pa.int64())]))
+        cand = nodes.column("node").to_numpy()
         new = np.setdiff1d(np.unique(cand), visited, assume_unique=False)
         if len(new) == 0:
             break

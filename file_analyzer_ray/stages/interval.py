@@ -199,7 +199,9 @@ def _broadcast_partials(
     zero-fill row per interval for the caller's sum-by-key."""
     import ray
 
-    rows = intervals.take_all()
+    from ..query_utils import gather
+
+    rows = gather(intervals).to_pylist()
     ids = np.fromiter((r[id_col] for r in rows), dtype=np.int64,
                       count=len(rows))
     lo = np.fromiter((_as_i64(r[start_col]) for r in rows), dtype=np.int64,

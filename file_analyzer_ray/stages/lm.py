@@ -42,14 +42,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data
 
 from ..functions.text import tokenize
-from ..query_utils import _rename
+from ..query_utils import _rename, gather
+
+#: the per-batch partial: (w1, w2) bigram counts
+_BIGRAMS = pa.schema([("w1", pa.string()), ("w2", pa.string()), ("c", pa.int64())])
 
 # ~48 MB of u64 codes + counts; above this the ride-along assumption is
 # wrong and the caller must shrink the reference sample (CCNet keeps the
@@ -108,10 +110,7 @@ def bigram_lm(
             w1s.extend(toks[:-1])
             w2s.extend(toks[1:])
         if not w1s:
-            return pa.Table.from_pydict(
-                {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string()),
-                 "c": pa.array([], pa.int64())}
-            )
+            return _BIGRAMS.empty_table()
         return _rename(
             pa.Table.from_pydict({"w1": w1s, "w2": w2s})
             .group_by(["w1", "w2"])
@@ -119,11 +118,9 @@ def bigram_lm(
             {"count_all": "c"},
         )
 
-    parts = docs.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if parts.empty:  # Ray's to_pandas drops schema when all blocks are empty
-        parts = pd.DataFrame({"w1": pd.Series(dtype=str),
-                              "w2": pd.Series(dtype=str),
-                              "c": pd.Series(dtype=np.int64)})
+    parts = gather(
+        docs.map_batches(partial, batch_format="pyarrow"), _BIGRAMS
+    ).to_pandas()
     merged = parts.groupby(["w1", "w2"], as_index=False)["c"].sum()
     if len(merged) > max_broadcast_entries:
         raise ValueError(

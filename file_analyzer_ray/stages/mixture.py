@@ -29,6 +29,8 @@ import pyarrow as pa
 
 import ray.data
 
+from ..query_utils import gather
+
 _U32 = 4294967296.0
 
 
@@ -120,7 +122,7 @@ def source_token_totals(ds: "ray.data.Dataset") -> "dict[str, int]":
         )
 
     out: dict[str, int] = {}
-    for r in ds.map_batches(partial, batch_format="pyarrow").take_all():
+    for r in gather(ds.map_batches(partial, batch_format="pyarrow")).to_pylist():
         out[r["source"]] = out.get(r["source"], 0) + r["n_tokens"]
     return out
 

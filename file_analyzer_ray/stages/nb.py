@@ -37,7 +37,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..query_utils import _rename
+from ..query_utils import _rename, gather
 
 #: fixed label set (the synthetic corpus's lang mix; FIXTURES.md) —
 #: static output schema, alphabetical order IS the tie-break order.
@@ -93,25 +93,20 @@ def _lang_term_counts(t: pa.Table, train_mod: int) -> pa.Table:
 
 
 def train_nb(docs: "ray.data.Dataset", train_mod: int = 3) -> dict:
-    """One streaming pass → broadcastable model dict. The merge is a
-    single-task Arrow group_by over combiner rows (rows ≤ langs ×
-    vocab — the idf-table bound, stages/tfidf.py)."""
+    """One streaming pass → broadcastable model dict. The merge is an
+    Arrow group_by on the driver over the gathered combiner rows (rows
+    ≤ blocks × langs × vocab — the idf-table bound, stages/tfidf.py)."""
 
     def combine(t: pa.Table) -> pa.Table:
         return _lang_term_counts(t, train_mod)
 
-    def merge(t: pa.Table) -> pa.Table:
-        return _rename(
-            t.group_by(["lang", "term"]).aggregate([("c", "sum")]),
-            {"c_sum": "c"},
-        )
-
-    merged = (
-        docs.map_batches(combine, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-        .take_all()
+    part = gather(
+        docs.map_batches(combine, batch_format="pyarrow"), _COUNT_SCHEMA
     )
+    merged = _rename(
+        part.group_by(["lang", "term"]).aggregate([("c", "sum")]),
+        {"c_sum": "c"},
+    ).to_pylist()
     langs = list(LANGS)
     lidx = {l: i for i, l in enumerate(langs)}
     term_rows: dict[str, np.ndarray] = {}

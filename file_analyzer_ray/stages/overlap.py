@@ -17,7 +17,7 @@ Scale shape (10^12 rows, unbounded gram cardinality, bounded sources):
    (``np.bitwise_or.reduceat``) — each block then reduces to at most
    ``m·(m-1)/2`` pair-count rows (m = sources seen in the block), no
    matter how many grams it holds;
-3. one small merge task sums the bounded-key pair counts.
+3. the driver gathers and sums the bounded-key pair counts.
 
 Gram identity is engine-internal 64-bit (the DuckDB oracle compares
 gram STRINGS; a 2⁻⁶⁴ collision can only add a shared gram). Source
@@ -56,7 +56,7 @@ def source_overlap(
     per block (one uint64 bitmask lane); wider source sets should be
     audited in ≤64-source groups — the per-block assert makes the
     boundary explicit rather than silently wrong."""
-    from ..query_utils import _window_by_key_arrow
+    from ..query_utils import _window_by_key_arrow, gather
     from .banding import run_bounds
     from .dupspans import _batch_gram_hashes
 
@@ -133,10 +133,8 @@ def source_overlap(
         )
         return agg.select(["source_a", "source_b", "n_shared"])
 
-    # bounded keys (≤ m²/2 rows per block) → one small merge task
-    return pairs.repartition(1).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
-    )
+    # bounded keys (≤ m²/2 rows per block) → merged on the driver
+    return ray.data.from_arrow(merge(gather(pairs)))
 
 
 def source_overlap_serial(

@@ -194,6 +194,8 @@ def collocations(ds, min_count: int = 5, broadcast_max: int | None = None):
     every bigram with corpus count ≥ ``min_count``, sorted by
     (w1, w2).  ``broadcast_max`` overrides the path-choice cap (tests
     force 0 to exercise the distributed attach)."""
+    from ..query_utils import gather
+
     cap = _PMI_BROADCAST_MAX if broadcast_max is None else broadcast_max
     counts = corpus_counts(ds)
 
@@ -202,9 +204,9 @@ def collocations(ds, min_count: int = 5, broadcast_max: int | None = None):
 
     totals = {
         r["w1"]: r["n"]
-        for r in counts.map_batches(
-            only_totals, batch_format="pyarrow"
-        ).take_all()
+        for r in gather(
+            counts.map_batches(only_totals, batch_format="pyarrow")
+        ).to_pylist()
     }
     n_u, n_b_tot = int(totals["tokens"]), int(totals["bigrams"])
 
@@ -218,7 +220,9 @@ def _score_broadcast(counts, min_count: int, n_u: int, n_b_tot: int):
     import ray
     import ray.data
 
-    t = pa.Table.from_pylist(counts.take_all(), schema=_COUNT_SCHEMA)
+    from ..query_utils import gather
+
+    t = gather(counts, _COUNT_SCHEMA)
     kind = t.column("kind").to_numpy(zero_copy_only=False)
     uni = t.filter(pa.array(kind == "u"))
     udict = dict(

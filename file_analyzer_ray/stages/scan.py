@@ -38,6 +38,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..query_utils import gather
+
 _OPS = {
     "max": (np.maximum.accumulate, np.int64(np.iinfo(np.int64).min)),
     "sum": (np.cumsum, np.int64(0)),
@@ -78,9 +80,9 @@ def prefix_scan(
             names=["first_key", "agg"],
         )
 
-    rows = s.map_batches(
+    rows = gather(s.map_batches(
         summary, batch_format="pyarrow", batch_size=None
-    ).take_all()  # bounded: one row per block
+    )).to_pylist()  # bounded: one row per block
     rows.sort(key=lambda r: r["first_key"])
     firsts = np.array([r["first_key"] for r in rows], dtype=np.int64)
     aggs = np.array([r["agg"] for r in rows], dtype=np.int64)

@@ -40,6 +40,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..query_utils import gather
+
 #: centroid quantization (decimals) applied after init and every update
 CENTROID_DECIMALS = 6
 #: assignment-distance quantization; ties break toward the lowest cid
@@ -114,7 +116,7 @@ def kmeans_train(
             names=["vec_id", "u"],
         )
 
-    seed_rows = unit.map_batches(head_k, batch_format="pyarrow").take_all()
+    seed_rows = gather(unit.map_batches(head_k, batch_format="pyarrow")).to_pylist()
     seed_rows.sort(key=lambda r: r["vec_id"])
     cents = np.round(
         np.stack([np.asarray(r["u"], dtype=np.float64) for r in seed_rows[:k]]),
@@ -146,7 +148,7 @@ def kmeans_train(
                 names=["cid", "n", "s"],
             )
 
-        parts = unit.map_batches(partial, batch_format="pyarrow").take_all()
+        parts = gather(unit.map_batches(partial, batch_format="pyarrow")).to_pylist()
         sums: dict[int, np.ndarray] = {}
         counts: dict[int, int] = {}
         for r in parts:
@@ -236,9 +238,9 @@ def _train_sample(
             [pa.array(ids), pa.array(list(u))], names=["vec_id", "u"]
         )
 
-    rows = ds.map_batches(_unit_table, batch_format="pyarrow").map_batches(
+    rows = gather(ds.map_batches(_unit_table, batch_format="pyarrow").map_batches(
         partial, batch_format="pyarrow"
-    ).take_all()
+    )).to_pylist()
     rows.sort(key=lambda r: r["vec_id"])
     rows = rows[: 2 * bound]  # hard cap (expected count ≈ bound)
     ids = np.fromiter((r["vec_id"] for r in rows), dtype=np.int64, count=len(rows))
@@ -285,7 +287,7 @@ def semdedup(
     if train_mode == "driver":
         # bounded by DRIVER_TRAIN_MAX_ROWS (auto) or the caller's choice
         unit_cache = ds.map_batches(_unit_table, batch_format="pyarrow").materialize()
-        rows = unit_cache.take_all()
+        rows = gather(unit_cache).to_pylist()
         ids = np.fromiter((r["vec_id"] for r in rows), dtype=np.int64,
                           count=len(rows))
         mat = np.stack([np.asarray(r["u"], dtype=np.float64) for r in rows])

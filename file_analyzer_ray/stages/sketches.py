@@ -21,6 +21,7 @@ import pandas as pd
 import ray.data
 
 from ..functions.hashing import stable_u64
+from ..query_utils import gather
 
 
 def _hll_params(p: int) -> tuple[int, float]:
@@ -86,7 +87,9 @@ def approx_distinct(
         regs = hll_registers(vals, p)
         return pd.DataFrame({"regs": [regs.tobytes()]})
 
-    parts = ds.map_batches(partial, batch_format="pandas", batch_size=65536).take_all()
+    parts = gather(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
+    ).to_pylist()
     merged = np.zeros(1 << p, dtype=np.uint8)
     for r in parts:
         merged = np.maximum(merged, np.frombuffer(r["regs"], dtype=np.uint8))
@@ -118,9 +121,9 @@ def approx_distinct_by(
             rows.append({key: k, "regs": hll_registers(vals, p).tobytes()})
         return pd.DataFrame(rows, columns=[key, "regs"])
 
-    parts = ds.map_batches(
+    parts = gather(ds.map_batches(
         partial, batch_format="pandas", batch_size=65536
-    ).take_all()  # bounded: blocks x distinct keys
+    )).to_pylist()  # bounded: blocks x distinct keys
     merged: dict = {}
     for r in parts:
         regs = np.frombuffer(r["regs"], dtype=np.uint8)
@@ -164,7 +167,7 @@ def approx_quantiles(
         return g
 
     mm = (
-        ds.map_batches(mm_partial, batch_format="pandas", batch_size=65536)
+        gather(ds.map_batches(mm_partial, batch_format="pandas", batch_size=65536))
         .to_pandas()
         .groupby(by)
         .agg({"min": "min", "max": "max"})
@@ -183,9 +186,9 @@ def approx_quantiles(
             rows.append({by: k, "hist": h.astype(np.int64).tobytes()})
         return pd.DataFrame(rows)
 
-    parts = ds.map_batches(
+    parts = gather(ds.map_batches(
         hist_partial, batch_format="pandas", batch_size=65536
-    ).to_pandas()
+    )).to_pandas()
     out_rows = []
     for k, sub in parts.groupby(by):
         h = np.sum(
@@ -319,7 +322,7 @@ def countmin_sketch(
         )
 
     # merged table is hard-bounded at depth*width+1 rows → driver fold
-    rows = _window_by_key_arrow(parts, ["slot"], ["slot"], merge).take_all()
+    rows = gather(_window_by_key_arrow(parts, ["slot"], ["slot"], merge)).to_pylist()
     sketch = np.zeros(depth * width, dtype=np.int64)
     total = 0
     for r in rows:
@@ -383,7 +386,7 @@ def heavy_hitter_terms(
             names=["term", "n", "total"],
         )
 
-    parts = ds.map_batches(mg_partial, batch_format="pyarrow").take_all()
+    parts = gather(ds.map_batches(mg_partial, batch_format="pyarrow")).to_pylist()
     agg: dict[str, int] = {}
     n_total = 0
     for r in parts:
@@ -423,7 +426,6 @@ def heavy_hitter_terms(
         )
         return g.reset_index(drop=True)
 
-    # candidate set is ≤ sketch_k keys → one small merge task
-    return exact.repartition(1).map_batches(
-        merge, batch_format="pandas", batch_size=None
-    )
+    # candidate set is ≤ sketch_k keys → merged on the driver
+    part = gather(exact, pa.schema([("term", pa.string()), ("n", pa.int64())]))
+    return ray.data.from_pandas(merge(part.to_pandas()))

@@ -16,10 +16,9 @@ skylines), so it distributes exactly like a combiner aggregate:
    data the survivors are O(log n) per batch, so virtually the whole
    corpus dies at the read;
 2. a cascade pass re-reducing ~65k candidate rows at a time;
-3. ONE in-process final reduction over the provably tiny candidate
-   set (O(blocks/65536 × skyline-size) rows — the same rows a
-   repartition(1) merge task would hold, minus the AllToAll barrier,
-   the `_preagg_native` argument).
+3. ONE final reduction on the driver over the provably tiny
+   candidate set (O(blocks/65536 × skyline-size) rows, pulled with
+   ``query_utils.gather`` — no AllToAll barrier).
 
 No shuffle anywhere; the only driver-side rows are the cascade
 output.
@@ -72,14 +71,13 @@ def skyline(ds, x_col: str, y_col: str):
     surviving rows (exact duplicates of a frontier point all kept)."""
     import ray.data
 
-    import ray
+    from ..query_utils import gather
 
     local = _local(x_col, y_col)
     cand = ds.map_batches(
         local, batch_format="pyarrow", batch_size=65536
     ).map_batches(local, batch_format="pyarrow", batch_size=65536)
-    # Arrow end to end: pull the tiny candidate blocks by reference
-    # (no pandas round trip, no AllToAll) and reduce once in-process.
-    tabs = ray.get(cand.to_arrow_refs())
-    merged = local(pa.concat_tables(tabs).combine_chunks())
+    # Arrow end to end: pull the tiny candidate blocks (no pandas
+    # round trip, no AllToAll) and reduce once in-process.
+    merged = local(gather(cand).combine_chunks())
     return ray.data.from_arrow(merged)

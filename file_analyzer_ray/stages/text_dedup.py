@@ -37,7 +37,7 @@ from ..functions.hashing import (
     word_ngram_hashes,
 )
 from ..functions.text import char_shingles, word_ngrams
-from ..query_utils import _window_by_key_arrow
+from ..query_utils import _window_by_key_arrow, gather
 from .banding import run_bounds
 
 _N_PERM = 64
@@ -232,15 +232,17 @@ def _verify_pairs_exact(
         mode = "driver" if n_pairs <= _DRIVER_VERIFY_MAX_PAIRS else "join"
 
     if mode == "driver":
-        pair_df = pairs.to_pandas().drop_duplicates(["doc_id_a", "doc_id_b"])
+        pair_df = gather(pairs, empty.schema).to_pandas().drop_duplicates(
+            ["doc_id_a", "doc_id_b"]
+        )
         if pair_df.empty:
             return ray.data.from_arrow(empty)
         need = set(pair_df["doc_id_a"]) | set(pair_df["doc_id_b"])
         need_ref = ray.put(need)
-        texts = docs.map_batches(
+        texts = gather(docs.map_batches(
             lambda df: df.loc[df["doc_id"].isin(ray.get(need_ref)), ["doc_id", "text"]],
             batch_format="pandas",
-        ).to_pandas()
+        )).to_pandas()
         text_ref = ray.put(dict(zip(texts["doc_id"], texts["text"])))
 
         def verify(df: pd.DataFrame) -> pd.DataFrame:
@@ -626,7 +628,7 @@ def ngram_dedup_clusters(
 
         return _window_by_key_arrow(labels, ["label"], ["label", "node"], clusters_fn)
 
-    pair_rows = pairs.take_all()  # verified pairs only: provably small
+    pair_rows = gather(pairs).to_pylist()  # verified pairs only: provably small
 
     parent: dict = {}
 

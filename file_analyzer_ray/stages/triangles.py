@@ -59,6 +59,7 @@ from ..query_utils import (
     _distinct_native,
     _run_starts_mask_arrow,
     _window_by_key_arrow,
+    gather,
     key_join,
 )
 
@@ -241,9 +242,10 @@ def _degrees(edges: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 def _orient_broadcast(edges, deg) -> "ray.data.Dataset":
-    rows = deg.take_all()  # bounded: ≤ the caller-attested node count
-    nodes = np.fromiter((r["node"] for r in rows), dtype=np.int64, count=len(rows))
-    degs = np.fromiter((r["deg"] for r in rows), dtype=np.int64, count=len(rows))
+    # bounded: ≤ the caller-attested node count
+    t = gather(deg, pa.schema([("node", pa.int64()), ("deg", pa.int64())]))
+    nodes = t.column("node").to_numpy().astype(np.int64)
+    degs = t.column("deg").to_numpy().astype(np.int64)
     order = np.argsort(nodes)
     ref = ray.put((nodes[order], degs[order]))
 

@@ -15,7 +15,9 @@ Layout (published and fenced through state/guard.py):
     out_dir/shard-<stem>.manifest.json      (``guard.fence``, written last)
 manifest = {shard, input_file_fingerprint (``guard.input_file_fingerprint``
 of the INPUT shard file — resume compares this, so a regenerated input
-with the same filename is re-processed, not skipped), output_fingerprint
+with the same filename is re-processed, not skipped), score (whether the
+output carries the scoring columns — resume compares this too),
+output_fingerprint
 (``guard.content_fingerprint``, order-independent over the output
 (doc_id, content_hash) set — the cross-parallelism identity check),
 row_count, span_count, engine_version, run_meta}.
@@ -69,6 +71,7 @@ class ShardWorker:
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
         self.out_dir = validate_sink_dir(out_dir)
+        self.score = score
         self.stage = ExtractStage(score=score)
         self.run_meta = run_meta or {}
         self.fail_shards = fail_shards
@@ -92,6 +95,7 @@ class ShardWorker:
                 "shard": stem,
                 "data_file": data_file,
                 "input_file_fingerprint": input_file_fingerprint(path),
+                "score": self.score,
                 "output_fingerprint": content_fingerprint(
                     out.column("doc_id").to_pylist(),
                     out.column("content_hash").to_pylist(),
@@ -174,11 +178,13 @@ def run_sharded(
     done = completed_shards(out_dir) if resume else {}
 
     def _is_done(p: str) -> bool:
-        """Fenced AND the input file is byte-wise the same one the fence
-        describes — a regenerated input shard with a reused filename is
+        """Fenced with this ``score`` setting AND the input file is
+        byte-wise the same one the fence describes — a regenerated input
+        shard with a reused filename, or a fence written with (or
+        without) scoring, or by code that did not record it, is
         re-processed, never silently skipped."""
         m = done.get(_shard_stem(p))
-        if m is None:
+        if m is None or m.get("score") != score:
             return False
         return m.get("input_file_fingerprint") == input_file_fingerprint(p)
 

@@ -223,7 +223,12 @@ def test_pairwise_compare_operator_invariants(ray_session):
     """Byte-identical first payloads → SSIM 1.0 / 0 mismatched pixels;
     different payloads (stub decode reseeds) → SSIM < 1. (hamming 0 is
     NOT the clone oracle — a ≤2-byte perturbation can leave every
-    64-bucket phash bit unchanged.)"""
+    64-bucket phash bit unchanged.) The call leaves no
+    ``fa_compare_imgs_*`` checkpoint behind."""
+    import glob
+    import os
+    import tempfile
+
     import pyarrow.dataset as pds
     import ray.data
 
@@ -241,7 +246,10 @@ def test_pairwise_compare_operator_invariants(ray_session):
             first_payload[d] = bodies[0]
 
     docs = ray.data.read_parquet(src, file_extensions=["parquet"])
+    ckpt_glob = os.path.join(tempfile.gettempdir(), "fa_compare_imgs_*")
+    before = set(glob.glob(ckpt_glob))
     got = pairwise_image_compare(docs, phash_near_dup_pairs(docs)).to_pandas()
+    assert set(glob.glob(ckpt_glob)) == before
     assert len(got) > 0
     same = got.apply(
         lambda r: first_payload.get(r["doc_id_a"]) == first_payload.get(r["doc_id_b"]),

@@ -122,12 +122,13 @@ def test_exact_dedup_clusters_match_oracle(ray_session, ray_docs, oracle_rows):
 
     extracted = extract_pipeline(ray_docs, score=False).materialize()
     exp = dedup_clusters(list(oracle_rows.values()))
-    # default single-task merge, then the sorted-run merge (threshold 0)
+    # default in-process merge, then the sorted-run merge (threshold 0)
+    n = extracted.count()
     for threshold in (2_000_000, 0):
         got = {
             r["content_hash"]: r
             for r in exact_dedup_clusters(
-                extracted, merge_threshold=threshold
+                extracted, merge_threshold=threshold, input_rows=n
             ).take_all()
         }
         assert set(got) == set(exp), threshold

@@ -521,3 +521,24 @@ def test_langid_predictions_sensible(registry):
     assert len(df) > 0
     assert set(df["lang_pred"]) <= {"en", "de", "fr", "es", "it", "und"}
     assert (df["lang_pred"].isin(["en", "und"])).mean() > 0.9
+
+
+def test_global_aggregate_over_empty_input_returns_one_row(ray_session, tmp_path):
+    """A global aggregate answers one row on an empty input, as its
+    DuckDB oracle does: the per-block partials yield no typed block,
+    and the merge still runs on the typed empty gather."""
+    import pyarrow.parquet as pq
+
+    from file_analyzer_ray.queries_joins import (SQL_ORDERS_STATUS_PIVOT,
+                                                 q_orders_status_pivot)
+
+    orders = pq.read_schema(f"{SF_DIR}/orders.parquet")
+    pq.write_table(orders.empty_table(), tmp_path / "orders.parquet")
+    got = _to_pandas(q_orders_status_pivot(str(tmp_path)))
+    exp = duckdb.connect().execute(SQL_ORDERS_STATUS_PIVOT.replace(
+        "FROM orders", f"FROM '{tmp_path}/orders.parquet'"
+    )).df()
+    assert len(exp) == 1 and exp["n_total"][0] == 0
+    assert len(got) == 1
+    assert got["n_total"][0] == 0
+    assert (got[["n_f", "n_o", "n_p"]].to_numpy() == 0).all()

@@ -285,3 +285,26 @@ def test_bucketed_layout_outer_joins_match_duckdb(ray_session, tmp_path):
             got["c_mktsegment"].fillna("-").tolist()
             == exp["c_mktsegment"].fillna("-").tolist()
         ), how
+
+
+def test_sharded_resume_rejects_fence_of_another_score(ray_session, tmp_path):
+    """A fence written with ``score=False`` is not trusted by a
+    ``score=True`` run into the same dir: the shard is re-processed and
+    its output carries the scoring columns."""
+    from file_analyzer_ray.pipelines.extract import corpus_path
+    from file_analyzer_ray.state.shards import completed_shards, run_sharded
+
+    src = corpus_path(2000)
+    out = str(tmp_path / "out")
+    res1 = run_sharded(src, out, score=False, concurrency=1)
+    assert res1["shards"] > 0
+    assert "recommended_filename" not in _read_sorted(out).column_names
+
+    res2 = run_sharded(src, out, score=True, concurrency=1)
+    assert res2["skipped"] == 0 and res2["shards"] == res1["shards"]
+    assert "recommended_filename" in _read_sorted(out).column_names
+    assert all(m["score"] is True for m in completed_shards(out).values())
+
+    # same setting again: every fence is trusted
+    res3 = run_sharded(src, out, score=True, concurrency=1)
+    assert res3["shards"] == 0 and res3["skipped"] == res1["shards"]
